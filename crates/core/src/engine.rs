@@ -18,6 +18,7 @@ use hlsh_vec::{Distance, PointId, PointSet};
 
 use crate::hasher::FxHashSet;
 use crate::index::HybridLshIndex;
+use crate::part::ensure_accumulator;
 use crate::report::{QueryOutput, QueryReport};
 use crate::search::{ExecutedArm, Strategy, VerifyMode};
 use crate::store::BucketStore;
@@ -85,206 +86,41 @@ impl QueryEngine {
         B: BucketStore,
     {
         let t_start = Instant::now();
-        match strategy {
-            Strategy::LinearOnly => {
-                let ids = linear_arm(index, q, r, self.verify);
-                let total = t_start.elapsed().as_nanos() as u64;
-                QueryOutput {
-                    report: QueryReport {
-                        executed: ExecutedArm::Linear,
-                        collisions: 0,
-                        cand_size_estimate: 0.0,
-                        cand_size_actual: None,
-                        output_size: ids.len(),
-                        hash_nanos: 0,
-                        hll_nanos: 0,
-                        total_nanos: total,
-                    },
-                    ids,
-                }
+        // Algorithm 2 line 1: probe the `L` buckets (no probe for a
+        // forced scan).
+        let (buckets, collisions, hash_nanos) = match strategy {
+            Strategy::LinearOnly => (Vec::new(), 0, 0),
+            _ => index.probe(q),
+        };
+        // Line 2: the merged-sketch candSize estimate (Hybrid only).
+        let (mut cand_estimate, mut hll_nanos) = (0.0, 0);
+        if matches!(strategy, Strategy::Hybrid) {
+            let t_hll = Instant::now();
+            let acc = ensure_accumulator(&mut self.acc, index.hll_config());
+            for b in &buckets {
+                b.contribute_to(acc);
             }
-            Strategy::LshOnly => {
-                let (buckets, collisions, hash_nanos) = index.probe(q);
-                self.lsh_output(index, q, r, &buckets, collisions, hash_nanos, 0, None, t_start)
-            }
+            cand_estimate = acc.estimate();
+            hll_nanos = t_hll.elapsed().as_nanos() as u64;
+        }
+        // Lines 3–4: compare costs, run the cheaper arm.
+        let lsh = match strategy {
             Strategy::Hybrid => {
-                // Algorithm 2 lines 1–2: collisions + candSize estimate.
-                let (buckets, collisions, hash_nanos, cand_estimate, hll_nanos) =
-                    self.probe_and_estimate(index, q);
-                self.hybrid_decision(
-                    index,
-                    q,
-                    r,
-                    &buckets,
-                    collisions,
-                    cand_estimate,
-                    hash_nanos,
-                    hll_nanos,
-                    t_start,
-                )
+                index.cost_model().prefer_lsh(collisions, cand_estimate, index.len())
             }
-        }
-    }
-
-    /// Probes and estimates once, then runs the query only when the
-    /// estimated distinct-candidate count exceeds `skip_at_most`;
-    /// returns `None` (no arm executed) otherwise.
-    ///
-    /// This is the top-k driver's level filter: a schedule level whose
-    /// predicted candidates are all already verified cannot improve the
-    /// heap, and deciding that from the sketches costs `O(mL)` — the
-    /// same probe + merge work the executed query needs anyway, done
-    /// once here rather than twice.
-    ///
-    /// Under [`Strategy::LinearOnly`] the filter does not apply (a scan
-    /// forms no candidate set) and the query always runs. Under
-    /// [`Strategy::LshOnly`] the report's `cand_size_estimate` carries
-    /// the sketch estimate (unlike
-    /// [`query_with_strategy`](Self::query_with_strategy), which skips
-    /// estimation there); ids are identical.
-    pub fn query_unless_cand_at_most<S, F, D, B>(
-        &mut self,
-        index: &HybridLshIndex<S, F, D, B>,
-        q: &S::Point,
-        r: f64,
-        strategy: Strategy,
-        skip_at_most: f64,
-    ) -> Option<QueryOutput>
-    where
-        S: PointSet,
-        F: LshFamily<S::Point>,
-        D: Distance<S::Point>,
-        B: BucketStore,
-    {
-        if matches!(strategy, Strategy::LinearOnly) {
-            return Some(self.query_with_strategy(index, q, r, strategy));
-        }
-        let t_start = Instant::now();
-        let (buckets, collisions, hash_nanos, cand_estimate, hll_nanos) =
-            self.probe_and_estimate(index, q);
-        if cand_estimate <= skip_at_most {
-            return None;
-        }
-        Some(match strategy {
-            Strategy::LshOnly => self.lsh_output(
-                index,
-                q,
-                r,
-                &buckets,
-                collisions,
-                hash_nanos,
-                hll_nanos,
-                Some(cand_estimate),
-                t_start,
-            ),
-            _ => self.hybrid_decision(
-                index,
-                q,
-                r,
-                &buckets,
-                collisions,
-                cand_estimate,
-                hash_nanos,
-                hll_nanos,
-                t_start,
-            ),
-        })
-    }
-
-    /// Steps S1–S2 of Algorithm 2 with reused scratch: probe the `L`
-    /// buckets, merge their sketches. Returns `(buckets, collisions,
-    /// hash_nanos, cand_estimate, hll_nanos)`.
-    fn probe_and_estimate<'a, S, F, D, B>(
-        &mut self,
-        index: &'a HybridLshIndex<S, F, D, B>,
-        q: &S::Point,
-    ) -> (Vec<crate::bucket::BucketRef<'a>>, usize, u64, f64, u64)
-    where
-        S: PointSet,
-        F: LshFamily<S::Point>,
-        D: Distance<S::Point>,
-        B: BucketStore,
-    {
-        let (buckets, collisions, hash_nanos) = index.probe(q);
-        let t_hll = Instant::now();
-        let acc = self.accumulator(index);
-        for b in &buckets {
-            b.contribute_to(acc);
-        }
-        let cand_estimate = acc.estimate();
-        let hll_nanos = t_hll.elapsed().as_nanos() as u64;
-        (buckets, collisions, hash_nanos, cand_estimate, hll_nanos)
-    }
-
-    /// Runs the LSH arm over already-probed buckets and assembles the
-    /// report; `estimate` carries a sketch estimate when one was
-    /// computed (`None` mirrors the classic LshOnly report, whose
-    /// `cand_size_estimate` is the exact candidate count).
-    #[allow(clippy::too_many_arguments)]
-    fn lsh_output<S, F, D, B>(
-        &mut self,
-        index: &HybridLshIndex<S, F, D, B>,
-        q: &S::Point,
-        r: f64,
-        buckets: &[crate::bucket::BucketRef<'_>],
-        collisions: usize,
-        hash_nanos: u64,
-        hll_nanos: u64,
-        estimate: Option<f64>,
-        t_start: Instant,
-    ) -> QueryOutput
-    where
-        S: PointSet,
-        F: LshFamily<S::Point>,
-        D: Distance<S::Point>,
-        B: BucketStore,
-    {
-        let (ids, cand_actual) = self.lsh_arm(index, q, r, buckets);
-        let total = t_start.elapsed().as_nanos() as u64;
-        QueryOutput {
-            report: QueryReport {
-                executed: ExecutedArm::Lsh,
-                collisions,
-                cand_size_estimate: estimate.unwrap_or(cand_actual as f64),
-                cand_size_actual: Some(cand_actual),
-                output_size: ids.len(),
-                hash_nanos,
-                hll_nanos,
-                total_nanos: total,
-            },
-            ids,
-        }
-    }
-
-    /// Algorithm 2 lines 3–4 over already-probed buckets: compare
-    /// costs, run the cheaper arm, assemble the report.
-    #[allow(clippy::too_many_arguments)]
-    fn hybrid_decision<S, F, D, B>(
-        &mut self,
-        index: &HybridLshIndex<S, F, D, B>,
-        q: &S::Point,
-        r: f64,
-        buckets: &[crate::bucket::BucketRef<'_>],
-        collisions: usize,
-        cand_estimate: f64,
-        hash_nanos: u64,
-        hll_nanos: u64,
-        t_start: Instant,
-    ) -> QueryOutput
-    where
-        S: PointSet,
-        F: LshFamily<S::Point>,
-        D: Distance<S::Point>,
-        B: BucketStore,
-    {
-        let prefer_lsh = index.cost_model().prefer_lsh(collisions, cand_estimate, index.len());
-        let (executed, ids, cand_actual) = if prefer_lsh {
-            let (ids, cand) = self.lsh_arm(index, q, r, buckets);
+            Strategy::LshOnly => true,
+            Strategy::LinearOnly => false,
+        };
+        let (executed, ids, cand_actual) = if lsh {
+            let (ids, cand) = self.lsh_arm(index, q, r, &buckets);
+            if matches!(strategy, Strategy::LshOnly) {
+                // LshOnly skips estimation: report the exact count.
+                cand_estimate = cand as f64;
+            }
             (ExecutedArm::Lsh, ids, Some(cand))
         } else {
             (ExecutedArm::Linear, linear_arm(index, q, r, self.verify), None)
         };
-        let total = t_start.elapsed().as_nanos() as u64;
         QueryOutput {
             report: QueryReport {
                 executed,
@@ -294,262 +130,10 @@ impl QueryEngine {
                 output_size: ids.len(),
                 hash_nanos,
                 hll_nanos,
-                total_nanos: total,
+                total_nanos: t_start.elapsed().as_nanos() as u64,
             },
             ids,
         }
-    }
-
-    /// Like [`query_with_strategy`](Self::query_with_strategy) but the
-    /// output carries each reported id's exact distance, emitted by the
-    /// distance-returning verification kernels instead of being
-    /// recomputed per id afterwards. The id sequence and the report are
-    /// identical to the id-only path; each distance is bit-identical to
-    /// `index.distance().distance(point, q)`.
-    pub fn query_with_strategy_dist<S, F, D, B>(
-        &mut self,
-        index: &HybridLshIndex<S, F, D, B>,
-        q: &S::Point,
-        r: f64,
-        strategy: Strategy,
-    ) -> QueryDistOutput
-    where
-        S: PointSet,
-        F: LshFamily<S::Point>,
-        D: Distance<S::Point>,
-        B: BucketStore,
-    {
-        let t_start = Instant::now();
-        match strategy {
-            Strategy::LinearOnly => {
-                let pairs = linear_arm_dist(index, q, r, self.verify);
-                let total = t_start.elapsed().as_nanos() as u64;
-                QueryDistOutput {
-                    report: QueryReport {
-                        executed: ExecutedArm::Linear,
-                        collisions: 0,
-                        cand_size_estimate: 0.0,
-                        cand_size_actual: None,
-                        output_size: pairs.len(),
-                        hash_nanos: 0,
-                        hll_nanos: 0,
-                        total_nanos: total,
-                    },
-                    pairs,
-                }
-            }
-            Strategy::LshOnly => {
-                let (buckets, collisions, hash_nanos) = index.probe(q);
-                self.lsh_output_dist(
-                    index, q, r, &buckets, collisions, hash_nanos, 0, None, t_start,
-                )
-            }
-            Strategy::Hybrid => {
-                let (buckets, collisions, hash_nanos, cand_estimate, hll_nanos) =
-                    self.probe_and_estimate(index, q);
-                self.hybrid_decision_dist(
-                    index,
-                    q,
-                    r,
-                    &buckets,
-                    collisions,
-                    cand_estimate,
-                    hash_nanos,
-                    hll_nanos,
-                    t_start,
-                )
-            }
-        }
-    }
-
-    /// Distance-returning twin of
-    /// [`query_unless_cand_at_most`](Self::query_unless_cand_at_most):
-    /// same probe/estimate sharing, same skip decision, but an executed
-    /// query's output carries `(id, distance)` pairs — the top-k
-    /// driver's level query.
-    pub fn query_unless_cand_at_most_dist<S, F, D, B>(
-        &mut self,
-        index: &HybridLshIndex<S, F, D, B>,
-        q: &S::Point,
-        r: f64,
-        strategy: Strategy,
-        skip_at_most: f64,
-    ) -> Option<QueryDistOutput>
-    where
-        S: PointSet,
-        F: LshFamily<S::Point>,
-        D: Distance<S::Point>,
-        B: BucketStore,
-    {
-        if matches!(strategy, Strategy::LinearOnly) {
-            return Some(self.query_with_strategy_dist(index, q, r, strategy));
-        }
-        let t_start = Instant::now();
-        let (buckets, collisions, hash_nanos, cand_estimate, hll_nanos) =
-            self.probe_and_estimate(index, q);
-        if cand_estimate <= skip_at_most {
-            return None;
-        }
-        Some(match strategy {
-            Strategy::LshOnly => self.lsh_output_dist(
-                index,
-                q,
-                r,
-                &buckets,
-                collisions,
-                hash_nanos,
-                hll_nanos,
-                Some(cand_estimate),
-                t_start,
-            ),
-            _ => self.hybrid_decision_dist(
-                index,
-                q,
-                r,
-                &buckets,
-                collisions,
-                cand_estimate,
-                hash_nanos,
-                hll_nanos,
-                t_start,
-            ),
-        })
-    }
-
-    /// Distance-returning twin of [`lsh_output`](Self::lsh_output).
-    #[allow(clippy::too_many_arguments)]
-    fn lsh_output_dist<S, F, D, B>(
-        &mut self,
-        index: &HybridLshIndex<S, F, D, B>,
-        q: &S::Point,
-        r: f64,
-        buckets: &[crate::bucket::BucketRef<'_>],
-        collisions: usize,
-        hash_nanos: u64,
-        hll_nanos: u64,
-        estimate: Option<f64>,
-        t_start: Instant,
-    ) -> QueryDistOutput
-    where
-        S: PointSet,
-        F: LshFamily<S::Point>,
-        D: Distance<S::Point>,
-        B: BucketStore,
-    {
-        let (pairs, cand_actual) = self.lsh_arm_dist(index, q, r, buckets);
-        let total = t_start.elapsed().as_nanos() as u64;
-        QueryDistOutput {
-            report: QueryReport {
-                executed: ExecutedArm::Lsh,
-                collisions,
-                cand_size_estimate: estimate.unwrap_or(cand_actual as f64),
-                cand_size_actual: Some(cand_actual),
-                output_size: pairs.len(),
-                hash_nanos,
-                hll_nanos,
-                total_nanos: total,
-            },
-            pairs,
-        }
-    }
-
-    /// Distance-returning twin of
-    /// [`hybrid_decision`](Self::hybrid_decision).
-    #[allow(clippy::too_many_arguments)]
-    fn hybrid_decision_dist<S, F, D, B>(
-        &mut self,
-        index: &HybridLshIndex<S, F, D, B>,
-        q: &S::Point,
-        r: f64,
-        buckets: &[crate::bucket::BucketRef<'_>],
-        collisions: usize,
-        cand_estimate: f64,
-        hash_nanos: u64,
-        hll_nanos: u64,
-        t_start: Instant,
-    ) -> QueryDistOutput
-    where
-        S: PointSet,
-        F: LshFamily<S::Point>,
-        D: Distance<S::Point>,
-        B: BucketStore,
-    {
-        let prefer_lsh = index.cost_model().prefer_lsh(collisions, cand_estimate, index.len());
-        let (executed, pairs, cand_actual) = if prefer_lsh {
-            let (pairs, cand) = self.lsh_arm_dist(index, q, r, buckets);
-            (ExecutedArm::Lsh, pairs, Some(cand))
-        } else {
-            (ExecutedArm::Linear, linear_arm_dist(index, q, r, self.verify), None)
-        };
-        let total = t_start.elapsed().as_nanos() as u64;
-        QueryDistOutput {
-            report: QueryReport {
-                executed,
-                collisions,
-                cand_size_estimate: cand_estimate,
-                cand_size_actual: cand_actual,
-                output_size: pairs.len(),
-                hash_nanos,
-                hll_nanos,
-                total_nanos: total,
-            },
-            pairs,
-        }
-    }
-
-    /// Distance-returning twin of [`lsh_arm`](Self::lsh_arm): same
-    /// dedup, same filter predicate, distances emitted alongside.
-    fn lsh_arm_dist<S, F, D, B>(
-        &mut self,
-        index: &HybridLshIndex<S, F, D, B>,
-        q: &S::Point,
-        r: f64,
-        buckets: &[crate::bucket::BucketRef<'_>],
-    ) -> (Vec<(PointId, f64)>, usize)
-    where
-        S: PointSet,
-        F: LshFamily<S::Point>,
-        D: Distance<S::Point>,
-        B: BucketStore,
-    {
-        self.seen.clear();
-        self.cands.clear();
-        for b in buckets {
-            for &id in b.members() {
-                if self.seen.insert(id) {
-                    self.cands.push(id);
-                }
-            }
-        }
-        let (data, distance) = (index.data(), index.distance());
-        let mut out = Vec::new();
-        match self.verify {
-            VerifyMode::Kernel => distance.verify_many_dist(data, &self.cands, q, r, &mut out),
-            VerifyMode::Scalar => {
-                hlsh_vec::metric::verify_scalar_dist(distance, data, &self.cands, q, r, &mut out)
-            }
-        }
-        (out, self.cands.len())
-    }
-
-    /// The merge accumulator for `index`'s HLL config, cleared and
-    /// ready (recreated only when the config changes between indexes).
-    fn accumulator<S, F, D, B>(
-        &mut self,
-        index: &HybridLshIndex<S, F, D, B>,
-    ) -> &mut MergeAccumulator
-    where
-        S: PointSet,
-        F: LshFamily<S::Point>,
-        D: Distance<S::Point>,
-        B: BucketStore,
-    {
-        let config = index.hll_config();
-        match &mut self.acc {
-            Some(acc) if acc.config() == config => acc.clear(),
-            slot => *slot = Some(MergeAccumulator::new(config)),
-        }
-        self.acc.as_mut().expect("accumulator just ensured")
     }
 
     /// Step S2 + S3: dedup the colliding points, then verify the whole
@@ -592,20 +176,6 @@ impl QueryEngine {
     }
 }
 
-/// One query's distance-annotated result: the usual [`QueryReport`]
-/// plus the reported ids paired with their exact distances (each
-/// bit-identical to a `distance()` call on the same point). Produced by
-/// [`QueryEngine::query_with_strategy_dist`] and consumed by rankers —
-/// the top-k engine feeds these pairs straight into its heap.
-#[derive(Clone, Debug)]
-pub struct QueryDistOutput {
-    /// `(id, distance)` of every reported point, in the same order the
-    /// id-only path reports ids.
-    pub pairs: Vec<(PointId, f64)>,
-    /// Instrumentation (same contract as [`QueryOutput`]).
-    pub report: QueryReport,
-}
-
 /// The brute-force arm: scan every point (batched through the metric's
 /// [`scan_within`](Distance::scan_within) kernel unless scalar mode is
 /// forced).
@@ -626,28 +196,6 @@ where
     match verify {
         VerifyMode::Kernel => distance.scan_within(data, q, r, &mut out),
         VerifyMode::Scalar => hlsh_vec::metric::scan_scalar(distance, data, q, r, &mut out),
-    }
-    out
-}
-
-/// Distance-returning twin of [`linear_arm`].
-fn linear_arm_dist<S, F, D, B>(
-    index: &HybridLshIndex<S, F, D, B>,
-    q: &S::Point,
-    r: f64,
-    verify: VerifyMode,
-) -> Vec<(PointId, f64)>
-where
-    S: PointSet,
-    F: LshFamily<S::Point>,
-    D: Distance<S::Point>,
-    B: BucketStore,
-{
-    let (data, distance) = (index.data(), index.distance());
-    let mut out = Vec::new();
-    match verify {
-        VerifyMode::Kernel => distance.scan_within_dist(data, q, r, &mut out),
-        VerifyMode::Scalar => hlsh_vec::metric::scan_scalar_dist(distance, data, q, r, &mut out),
     }
     out
 }

@@ -77,6 +77,7 @@ pub mod diverse;
 pub mod engine;
 pub mod hasher;
 pub mod index;
+pub mod part;
 pub mod pipeline;
 pub mod presets;
 pub mod recall;
@@ -94,8 +95,9 @@ pub use bucket::BucketRef;
 pub use builder::{BuildMode, IndexBuilder};
 pub use cost::{CostEstimate, CostModel};
 pub use diverse::DiverseOutput;
-pub use engine::{QueryDistOutput, QueryEngine};
+pub use engine::QueryEngine;
 pub use index::{HybridLshIndex, IndexStats};
+pub use part::{decide, Decision, Ladder, Level, PartQueryEngine, Parts};
 pub use pipeline::{BuildPipeline, KeyRuns};
 pub use presets::MixturePreset;
 pub use recall::{evaluate_recall, RecallReport};
@@ -103,7 +105,8 @@ pub use report::{QueryOutput, QueryReport};
 pub use schedule::RadiusSchedule;
 pub use search::{Strategy, VerifyMode};
 pub use segmented::{
-    MutationError, SegmentedIndex, SegmentedQueryEngine, SegmentedTopKEngine, SegmentedTopKIndex,
+    LsmIndex, MutationError, SegmentedIndex, SegmentedQueryEngine, SegmentedTopKEngine,
+    SegmentedTopKIndex,
 };
 pub use sharded::{
     ShardAssignment, ShardSummary, ShardedIndex, ShardedQueryEngine, ShardedTopKEngine,
@@ -114,4 +117,6 @@ pub use snapshot::{
     SnapshotError, SnapshotLayout, SnapshotManifest, StorageProfile,
 };
 pub use store::{BucketStore, FrozenStore, MapStore};
-pub use topk::{BoundedHeap, Neighbor, TopKEngine, TopKIndex, TopKOutput, TopKReport};
+pub use topk::{
+    BoundedHeap, DeferredLevel, Neighbor, TopKEngine, TopKIndex, TopKOutput, TopKReport, TopKWalk,
+};

@@ -3,9 +3,10 @@
 //!
 //! Every serving path before this module assumed build-then-freeze:
 //! streaming `insert` hashed one point at a time into a [`MapStore`]
-//! and there was no delete at all. [`SegmentedIndex`] (and its top-k
-//! twin [`SegmentedTopKIndex`]) restructure each shard as a small LSM
-//! hierarchy:
+//! and there was no delete at all. One LSM implementation,
+//! [`LsmIndex`], restructures each shard as a small hierarchy over a
+//! list of level builders — [`SegmentedIndex`] is its one-level rNNR
+//! form, [`SegmentedTopKIndex`] its radius-schedule ladder:
 //!
 //! - a **memtable** — a mutable [`MapStore`]-backed index absorbing
 //!   inserts one point at a time (buckets hold memtable-local rows; a
@@ -23,11 +24,12 @@
 //!
 //! # Determinism contract
 //!
-//! Queries union candidates across memtable + segments minus
-//! tombstones, with S1 collision counts summed and S2 HLL registers
-//! max-merged across sources exactly as the sharded/distributed merge
-//! already does, so the Algorithm-2 arm decision is made **once,
-//! globally** — and every answer is **byte-identical to an index
+//! Every memtable and segment is one part of the shared query core
+//! ([`crate::part`]): queries union candidates across memtable +
+//! segments minus tombstones, with S1 collision counts summed and S2
+//! HLL registers max-merged across parts exactly as the sharded and
+//! distributed merges do, so the Algorithm-2 arm decision is made
+//! **once, globally** — and every answer is **byte-identical to an index
 //! rebuilt from scratch on the surviving points**
 //! ([`SegmentedIndex::build_bulk`] is that rebuild). The ingredients:
 //!
@@ -63,23 +65,23 @@
 //! queries, so a background thread would change nothing a test could
 //! see — on the 1-CPU reference box it would only add locking.
 
-use std::time::Instant;
+use std::sync::Arc;
 
 use hlsh_families::LshFamily;
-use hlsh_hll::{HllConfig, MergeAccumulator};
+use hlsh_hll::HllConfig;
 use hlsh_vec::{DenseDataset, Distance, PointId, SubsetPointSet};
 
-use crate::bucket::BucketRef;
 use crate::builder::IndexBuilder;
 use crate::cost::CostModel;
 use crate::hasher::{FxHashMap, FxHashSet};
 use crate::index::HybridLshIndex;
-use crate::report::{QueryOutput, QueryReport};
+use crate::part::{Ids, Ladder, Level, Part, PartQueryEngine, Parts};
+use crate::report::QueryOutput;
 use crate::schedule::RadiusSchedule;
-use crate::search::{ExecutedArm, Strategy, VerifyMode};
-use crate::sharded::{ensure_accumulator, ShardAssignment};
+use crate::search::Strategy;
+use crate::sharded::ShardAssignment;
 use crate::store::{FrozenStore, MapStore};
-use crate::topk::{fallback_scan_pairs, BoundedHeap, Neighbor, TopKIndex, TopKOutput, TopKReport};
+use crate::topk::{TopKEngine, TopKOutput};
 
 /// Why an insert or delete was rejected. Mutations are all-or-nothing:
 /// a rejected mutation leaves the index untouched.
@@ -120,38 +122,27 @@ impl std::fmt::Display for MutationError {
 
 impl std::error::Error for MutationError {}
 
-/// Row bookkeeping shared by the rNNR and top-k memtables: memtable
-/// buckets hold local row numbers; this maps rows to global ids and
-/// tracks which rows are still live. Rows are append-only — a deleted
-/// or superseded row stays in the buckets (and the slab) as a dead row
-/// filtered out at query time, until the next flush drops it.
+/// A memtable's row bookkeeping: memtable buckets hold local row
+/// numbers; this maps rows to global ids and tracks which rows are
+/// still live. Rows are append-only — a deleted or superseded row stays
+/// in the buckets (and the slab) as a dead row filtered out at query
+/// time, until the next flush drops it.
 #[derive(Default)]
-struct Rows {
+pub(crate) struct Rows {
     /// `ids[row] = global id` (including dead rows).
-    ids: Vec<PointId>,
+    pub(crate) ids: Vec<PointId>,
     /// `live[row]`: whether the row still represents its id.
-    live: Vec<bool>,
+    pub(crate) live: Vec<bool>,
     /// `global id → live row`; ids with only dead rows are absent.
     row_of: FxHashMap<PointId, u32>,
-    live_rows: usize,
 }
 
 impl Rows {
-    /// Records a freshly appended live row for `id`.
-    fn append(&mut self, id: PointId) {
-        let row = self.ids.len() as u32;
-        self.ids.push(id);
-        self.live.push(true);
-        self.row_of.insert(id, row);
-        self.live_rows += 1;
-    }
-
     /// Kills `id`'s live row, if it has one.
     fn kill(&mut self, id: PointId) -> bool {
         match self.row_of.remove(&id) {
             Some(row) => {
                 self.live[row as usize] = false;
-                self.live_rows -= 1;
                 true
             }
             None => false,
@@ -159,20 +150,15 @@ impl Rows {
     }
 }
 
-/// A segment's id mapping plus its logical deletions, shared by the
-/// rNNR and top-k segments. `ids` is ascending, so local row `i` holds
-/// global id `ids[i]` and global→local is a binary search.
-struct SegMeta {
-    ids: Vec<PointId>,
-    tombstones: FxHashSet<PointId>,
+/// A segment's id mapping plus its logical deletions. `ids` is
+/// ascending, so local row `i` holds global id `ids[i]` and
+/// global→local is a binary search.
+pub(crate) struct SegMeta {
+    pub(crate) ids: Vec<PointId>,
+    pub(crate) tombstones: FxHashSet<PointId>,
 }
 
 impl SegMeta {
-    fn new(ids: Vec<PointId>) -> Self {
-        debug_assert!(ids.windows(2).all(|w| w[0] < w[1]), "segment ids must ascend");
-        Self { ids, tombstones: FxHashSet::default() }
-    }
-
     /// Whether `id` is stored here and not tombstoned.
     fn contains_live(&self, id: PointId) -> bool {
         self.ids.binary_search(&id).is_ok() && !self.tombstones.contains(&id)
@@ -182,74 +168,42 @@ impl SegMeta {
         self.ids.len() - self.tombstones.len()
     }
 
-    /// Whether any stored row is tombstoned (a dirty segment's sketch
-    /// overcounts, so queries fall back to raw-id contribution).
-    fn is_dirty(&self) -> bool {
+    fn live_ids(&self) -> impl Iterator<Item = PointId> + '_ {
+        self.ids.iter().copied().filter(|id| !self.tombstones.contains(id))
+    }
+
+    /// Whether any stored row is tombstoned (a dirty segment's sketches
+    /// overcount, so queries fall back to raw-id contribution).
+    pub(crate) fn is_dirty(&self) -> bool {
         !self.tombstones.is_empty()
     }
 }
 
-/// The mutable head of one shard: a [`MapStore`]-backed index whose
-/// buckets hold local rows (never sketched — local rows must not leak
-/// into merged registers; the engines contribute live global ids raw).
+/// The mutable head of one shard: one [`MapStore`]-backed index per
+/// level, each owning its own small copy of the memtable points
+/// (memtables are small by construction). Buckets hold local rows and
+/// are never sketched — local rows must not leak into merged registers;
+/// queries contribute live global ids raw.
 struct Memtable<F, D>
 where
     F: LshFamily<[f32]>,
     D: Distance<[f32]>,
 {
-    index: HybridLshIndex<DenseDataset, F, D, MapStore>,
+    levels: Vec<HybridLshIndex<DenseDataset, F, D, MapStore>>,
     rows: Rows,
 }
 
-impl<F, D> Memtable<F, D>
-where
-    F: LshFamily<[f32]> + Clone,
-    F::GFn: Send,
-    D: Distance<[f32]> + Clone,
-{
-    fn new(dim: usize, builder: &IndexBuilder<F, D>, cost: CostModel) -> Self {
-        let index = builder
-            .clone()
-            .cost_model(cost)
-            .lazy_threshold(usize::MAX)
-            .sequential()
-            .build(DenseDataset::new(dim));
-        Self { index, rows: Rows::default() }
-    }
-
-    fn insert(&mut self, id: PointId, point: &[f32]) {
-        self.index.insert(point);
-        self.rows.append(id);
-    }
-}
-
-/// One immutable frozen segment: buckets and sketches keyed by global
-/// ids, plus tombstones for logical deletes.
+/// One immutable segment: a frozen index per level over one shared
+/// slab, buckets and sketches keyed by global ids, plus tombstones for
+/// logical deletes.
 struct Segment<F, D>
 where
     F: LshFamily<[f32]>,
     D: Distance<[f32]>,
 {
-    index: HybridLshIndex<DenseDataset, F, D, FrozenStore>,
+    data: Arc<DenseDataset>,
+    levels: Vec<HybridLshIndex<Arc<DenseDataset>, F, D, FrozenStore>>,
     meta: SegMeta,
-}
-
-/// Builds one clean segment over `data` whose row `i` carries global
-/// id `ids[i]` (ascending — the blocked pipeline's id-mapping hook
-/// requires it and the binary-search translation depends on it).
-fn build_segment<F, D>(
-    builder: &IndexBuilder<F, D>,
-    cost: CostModel,
-    data: DenseDataset,
-    ids: Vec<PointId>,
-) -> Segment<F, D>
-where
-    F: LshFamily<[f32]> + Clone,
-    F::GFn: Send,
-    D: Distance<[f32]> + Clone,
-{
-    let index = builder.clone().cost_model(cost).sequential().build_frozen_mapped(data, Some(&ids));
-    Segment { index, meta: SegMeta::new(ids) }
 }
 
 /// One shard's LSM hierarchy: the memtable plus its frozen segments.
@@ -262,176 +216,118 @@ where
     segments: Vec<Segment<F, D>>,
 }
 
-/// Collects a memtable's live rows sorted by global id, as
-/// `(sub-dataset in id order, ascending ids)` — the flush input.
-fn drain_live_rows(rows: &Rows, data: &DenseDataset, dim: usize) -> (DenseDataset, Vec<PointId>) {
-    let mut pairs: Vec<(PointId, u32)> = rows.row_of.iter().map(|(&id, &row)| (id, row)).collect();
-    pairs.sort_unstable_by_key(|&(id, _)| id);
-    let mut sub = DenseDataset::with_capacity(dim, pairs.len());
-    let mut ids = Vec::with_capacity(pairs.len());
-    for &(id, row) in &pairs {
-        sub.push(data.row(row as usize));
-        ids.push(id);
-    }
-    (sub, ids)
-}
+/// Default memtable rows (live + dead) that trigger a flush.
+pub const DEFAULT_FLUSH_THRESHOLD: usize = 4096;
+/// Default per-shard segment budget before merges kick in.
+pub const DEFAULT_MAX_SEGMENTS: usize = 8;
 
-/// Merges segments into one clean segment (tombstoned rows dropped);
-/// `None` when nothing survives.
-fn merge_segments<F, D>(
-    segs: Vec<Segment<F, D>>,
-    builder: &IndexBuilder<F, D>,
-    cost: CostModel,
-    dim: usize,
-) -> Option<Segment<F, D>>
-where
-    F: LshFamily<[f32]> + Clone,
-    F::GFn: Send,
-    D: Distance<[f32]> + Clone,
-{
-    let total: usize = segs.iter().map(|s| s.meta.live_len()).sum();
-    if total == 0 {
-        return None;
-    }
-    let mut entries: Vec<(PointId, usize, usize)> = Vec::with_capacity(total);
-    for (si, seg) in segs.iter().enumerate() {
-        for (local, &id) in seg.meta.ids.iter().enumerate() {
-            if !seg.meta.tombstones.contains(&id) {
-                entries.push((id, si, local));
-            }
-        }
-    }
-    entries.sort_unstable_by_key(|&(id, _, _)| id);
-    let mut sub = DenseDataset::with_capacity(dim, entries.len());
-    let mut ids = Vec::with_capacity(entries.len());
-    for &(id, si, local) in &entries {
-        sub.push(segs[si].index.data().row(local));
-        ids.push(id);
-    }
-    Some(build_segment(builder, cost, sub, ids))
-}
-
-/// Compacts the shard's two smallest segments (by live size) into one.
-fn merge_two_smallest<F, D>(
-    shard: &mut LsmShard<F, D>,
-    builder: &IndexBuilder<F, D>,
-    cost: CostModel,
-    dim: usize,
-) where
-    F: LshFamily<[f32]> + Clone,
-    F::GFn: Send,
-    D: Distance<[f32]> + Clone,
-{
-    if shard.segments.len() < 2 {
-        return;
-    }
-    let mut order: Vec<usize> = (0..shard.segments.len()).collect();
-    order.sort_by_key(|&i| (shard.segments[i].meta.live_len(), i));
-    let (a, b) = (order[0].min(order[1]), order[0].max(order[1]));
-    let seg_b = shard.segments.remove(b);
-    let seg_a = shard.segments.remove(a);
-    if let Some(merged) = merge_segments(vec![seg_a, seg_b], builder, cost, dim) {
-        shard.segments.insert(a, merged);
-    }
-}
-
-/// An rNNR index that accepts inserts and deletes while serving
-/// queries whose answers stay byte-identical to a rebuild from scratch
-/// on the surviving points (see the module docs for the contract).
+/// An LSM-segmented index over a list of level builders that accepts
+/// inserts and deletes while serving queries whose answers stay
+/// byte-identical to a rebuild from scratch on the surviving points
+/// (see the module docs for the contract).
 ///
 /// Points are partitioned across shards by a [`ShardAssignment`] (so a
 /// segmented index composes with the sharded serving layout); each
-/// shard is an independent memtable + segment hierarchy. Queries run
-/// through [`SegmentedQueryEngine`], which merges statistics globally
-/// before deciding the arm.
-pub struct SegmentedIndex<F, D>
+/// shard is an independent memtable + segment hierarchy. `L` names the
+/// level list: `()` for the one-level rNNR [`SegmentedIndex`], the
+/// [`RadiusSchedule`] for the top-k [`SegmentedTopKIndex`].
+pub struct LsmIndex<F, D, L>
 where
     F: LshFamily<[f32]>,
     D: Distance<[f32]>,
 {
     shards: Vec<LsmShard<F, D>>,
     assignment: ShardAssignment,
-    builder: IndexBuilder<F, D>,
-    cost: CostModel,
-    hll: HllConfig,
+    builders: Vec<IndexBuilder<F, D>>,
+    costs: Vec<CostModel>,
+    hll: Vec<HllConfig>,
     dim: usize,
     live: usize,
     flush_threshold: usize,
     max_segments: usize,
+    ladder: L,
 }
 
-/// Default memtable rows (live + dead) that trigger a flush.
-pub const DEFAULT_FLUSH_THRESHOLD: usize = 4096;
-/// Default per-shard segment budget before merges kick in.
-pub const DEFAULT_MAX_SEGMENTS: usize = 8;
+/// An rNNR index that accepts inserts and deletes: the one-level
+/// [`LsmIndex`], queried through [`SegmentedQueryEngine`].
+pub type SegmentedIndex<F, D> = LsmIndex<F, D, ()>;
 
-impl<F, D> SegmentedIndex<F, D>
+/// A top-k index that accepts inserts and deletes while serving
+/// `(distance, id)` rankings byte-identical to a ladder rebuilt from
+/// scratch on the surviving points: the [`LsmIndex`] with one level per
+/// schedule radius, walked by [`SegmentedTopKEngine`].
+pub type SegmentedTopKIndex<F, D> = LsmIndex<F, D, RadiusSchedule>;
+
+/// Reusable scratch for querying a [`SegmentedIndex`] (the shared
+/// [`PartQueryEngine`]).
+pub type SegmentedQueryEngine = PartQueryEngine;
+
+/// Reusable scratch for top-k queries over a [`SegmentedTopKIndex`]
+/// (the shared [`TopKEngine`]).
+pub type SegmentedTopKEngine = TopKEngine;
+
+impl<F, D, L> LsmIndex<F, D, L>
 where
     F: LshFamily<[f32]> + Clone,
     F::GFn: Send,
     D: Distance<[f32]> + Clone,
 {
-    /// An empty segmented index for `dim`-dimensional points with the
-    /// default flush threshold and segment budget.
-    ///
-    /// The cost model is pinned here, once: the builder's explicit
-    /// model if set, otherwise the empty-data default. Supply an
-    /// explicit [`CostModel`] (via
-    /// [`IndexBuilder::cost_model`]) when byte-identity
-    /// against a rebuild matters — calibration is data-dependent, so a
-    /// model calibrated at rebuild time could differ.
-    pub fn new(dim: usize, assignment: ShardAssignment, builder: IndexBuilder<F, D>) -> Self {
-        Self::with_limits(dim, assignment, builder, DEFAULT_FLUSH_THRESHOLD, DEFAULT_MAX_SEGMENTS)
-    }
-
-    /// [`new`](Self::new) with explicit LSM knobs: a shard flushes its
-    /// memtable once it holds `flush_threshold` rows (live + dead),
-    /// and merges segments whenever it exceeds `max_segments`.
-    ///
-    /// Neither knob affects query answers — only when work happens.
+    /// An empty index over `builders` (one per level). Each level's
+    /// cost model is pinned here, once: the builder's explicit model if
+    /// set, otherwise the empty-data default. Supply an explicit
+    /// [`CostModel`] (via [`IndexBuilder::cost_model`]) when
+    /// byte-identity against a rebuild matters — calibration is
+    /// data-dependent, so a model calibrated at rebuild time could
+    /// differ.
     ///
     /// # Panics
     /// Panics if `flush_threshold == 0` or `max_segments == 0`.
-    pub fn with_limits(
+    fn with_builders(
         dim: usize,
         assignment: ShardAssignment,
-        builder: IndexBuilder<F, D>,
-        flush_threshold: usize,
-        max_segments: usize,
+        builders: Vec<IndexBuilder<F, D>>,
+        (flush_threshold, max_segments): (usize, usize),
+        ladder: L,
     ) -> Self {
         assert!(flush_threshold >= 1, "flush threshold must be at least 1");
         assert!(max_segments >= 1, "segment budget must be at least 1");
-        let cost = builder.resolve_cost(&DenseDataset::new(dim));
-        let shards: Vec<LsmShard<F, D>> = (0..assignment.shards())
-            .map(|_| LsmShard { mem: Memtable::new(dim, &builder, cost), segments: Vec::new() })
+        let empty = DenseDataset::new(dim);
+        let costs = builders.iter().map(|b| b.resolve_cost(&empty)).collect();
+        let mut index = Self {
+            shards: Vec::new(),
+            assignment,
+            builders,
+            costs,
+            hll: Vec::new(),
+            dim,
+            live: 0,
+            flush_threshold,
+            max_segments,
+            ladder,
+        };
+        index.shards = (0..assignment.shards())
+            .map(|_| LsmShard { mem: index.memtable(), segments: Vec::new() })
             .collect();
-        let hll = shards[0].mem.index.hll_config();
-        Self { shards, assignment, builder, cost, hll, dim, live: 0, flush_threshold, max_segments }
+        index.hll = index.shards[0].mem.levels.iter().map(|l| l.hll_config()).collect();
+        index
     }
 
-    /// Builds the index over a whole corpus at once: one clean frozen
-    /// segment per shard, empty memtables. This is the
-    /// rebuild-from-scratch oracle the mutation paths are pinned
-    /// against — `ids[i]` is row `i`'s global id.
+    /// The rebuild-from-scratch oracle: one clean frozen segment per
+    /// shard over the whole corpus, empty memtables; `ids[i]` is row
+    /// `i`'s global id.
     ///
     /// # Panics
     /// Panics if `ids.len() != data.len()` or `ids` contains
     /// duplicates.
-    pub fn build_bulk(
-        data: DenseDataset,
-        ids: &[PointId],
-        assignment: ShardAssignment,
-        builder: IndexBuilder<F, D>,
-    ) -> Self {
+    fn bulk(mut self, data: DenseDataset, ids: &[PointId]) -> Self {
         assert_eq!(ids.len(), data.len(), "one id per data row");
-        let mut index = Self::new(data.dim(), assignment, builder);
         let mut seen = FxHashSet::default();
         for &id in ids {
             assert!(seen.insert(id), "duplicate id {id} in bulk build");
         }
-        let mut per_shard: Vec<Vec<(PointId, u32)>> = vec![Vec::new(); assignment.shards()];
+        let mut per_shard: Vec<Vec<(PointId, u32)>> = vec![Vec::new(); self.assignment.shards()];
         for (row, &id) in ids.iter().enumerate() {
-            per_shard[assignment.shard_of(id)].push((id, row as u32));
+            per_shard[self.assignment.shard_of(id)].push((id, row as u32));
         }
         for (si, mut pairs) in per_shard.into_iter().enumerate() {
             if pairs.is_empty() {
@@ -439,34 +335,78 @@ where
             }
             pairs.sort_unstable_by_key(|&(id, _)| id);
             let rows: Vec<PointId> = pairs.iter().map(|&(_, row)| row).collect();
-            let sub = data.subset(&rows);
-            let seg_ids: Vec<PointId> = pairs.iter().map(|&(id, _)| id).collect();
-            index.shards[si].segments.push(build_segment(&index.builder, index.cost, sub, seg_ids));
+            let seg_ids = pairs.iter().map(|&(id, _)| id).collect();
+            let segment = self.segment(data.subset(&rows), seg_ids);
+            self.shards[si].segments.push(segment);
         }
-        index.live = data.len();
-        index
+        self.live = data.len();
+        self
+    }
+
+    /// A fresh memtable: one never-sketched map index per level.
+    fn memtable(&self) -> Memtable<F, D> {
+        let levels = self.builders.iter().zip(&self.costs).map(|(b, &cost)| {
+            let b = b.clone().cost_model(cost).lazy_threshold(usize::MAX).sequential();
+            b.build(DenseDataset::new(self.dim))
+        });
+        Memtable { levels: levels.collect(), rows: Rows::default() }
+    }
+
+    /// One clean segment over `data` whose row `i` carries global id
+    /// `ids[i]` (ascending — the blocked pipeline's id-mapping hook
+    /// requires it and the binary-search translation depends on it).
+    fn segment(&self, data: DenseDataset, ids: Vec<PointId>) -> Segment<F, D> {
+        debug_assert!(ids.windows(2).all(|w| w[0] < w[1]), "segment ids must ascend");
+        let data = Arc::new(data);
+        let levels = self.builders.iter().zip(&self.costs).map(|(b, &cost)| {
+            let b = b.clone().cost_model(cost).sequential();
+            b.build_frozen_mapped(Arc::clone(&data), Some(&ids))
+        });
+        let levels = levels.collect();
+        Segment { data, levels, meta: SegMeta { ids, tombstones: FxHashSet::default() } }
+    }
+
+    /// Merges segments into one clean segment (tombstoned rows
+    /// dropped); `None` when nothing survives.
+    fn merge(&self, segs: Vec<Segment<F, D>>) -> Option<Segment<F, D>> {
+        let mut entries: Vec<(PointId, &[f32])> = Vec::new();
+        for seg in &segs {
+            let rows = seg.meta.ids.iter().enumerate();
+            let live = rows.filter(|(_, id)| !seg.meta.tombstones.contains(id));
+            entries.extend(live.map(|(local, &id)| (id, seg.data.row(local))));
+        }
+        if entries.is_empty() {
+            return None;
+        }
+        entries.sort_unstable_by_key(|&(id, _)| id);
+        let data = DenseDataset::from_rows(self.dim, entries.iter().map(|&(_, row)| row));
+        Some(self.segment(data, entries.iter().map(|&(id, _)| id).collect()))
     }
 
     /// Inserts `point` under global id `id`.
     ///
-    /// The point lands in its shard's memtable; once the memtable
-    /// reaches the flush threshold the shard flushes (and possibly
-    /// merges) synchronously. Rejects ids that are already live and
-    /// points of the wrong dimension, leaving the index untouched.
+    /// The point lands in every level of its shard's memtable; once the
+    /// memtable reaches the flush threshold the shard flushes (and
+    /// possibly merges) synchronously. Rejects ids that are already
+    /// live and points of the wrong dimension, leaving the index
+    /// untouched.
     pub fn insert(&mut self, id: PointId, point: &[f32]) -> Result<(), MutationError> {
         if point.len() != self.dim {
             return Err(MutationError::DimMismatch { expected: self.dim, got: point.len() });
         }
-        let si = self.assignment.shard_of(id);
-        let shard = &self.shards[si];
-        if shard.mem.rows.row_of.contains_key(&id)
-            || shard.segments.iter().any(|s| s.meta.contains_live(id))
-        {
+        if self.contains(id) {
             return Err(MutationError::DuplicateId { id });
         }
-        self.shards[si].mem.insert(id, point);
+        let si = self.assignment.shard_of(id);
+        let mem = &mut self.shards[si].mem;
+        for level in &mut mem.levels {
+            level.insert(point);
+        }
+        mem.rows.row_of.insert(id, mem.rows.ids.len() as u32);
+        mem.rows.ids.push(id);
+        mem.rows.live.push(true);
         self.live += 1;
-        if self.shards[si].mem.rows.ids.len() >= self.flush_threshold {
+        if mem.rows.ids.len() >= self.flush_threshold {
             self.flush_shard(si);
         }
         Ok(())
@@ -476,37 +416,46 @@ where
     /// tombstones it in the segment holding it live. Rejects ids that
     /// are not live (never inserted, or already deleted).
     pub fn delete(&mut self, id: PointId) -> Result<(), MutationError> {
-        let si = self.assignment.shard_of(id);
-        let shard = &mut self.shards[si];
-        if shard.mem.rows.kill(id) {
-            self.live -= 1;
-            return Ok(());
+        let shard = &mut self.shards[self.assignment.shard_of(id)];
+        let found = shard.mem.rows.kill(id)
+            || shard
+                .segments
+                .iter_mut()
+                .any(|seg| seg.meta.contains_live(id) && seg.meta.tombstones.insert(id));
+        if !found {
+            return Err(MutationError::UnknownId { id });
         }
-        for seg in &mut shard.segments {
-            if seg.meta.contains_live(id) {
-                seg.meta.tombstones.insert(id);
-                self.live -= 1;
-                return Ok(());
-            }
-        }
-        Err(MutationError::UnknownId { id })
+        self.live -= 1;
+        Ok(())
     }
 
-    /// Flushes shard `shard`'s memtable into a new frozen segment
-    /// (dead rows dropped), then merges while the shard exceeds its
-    /// segment budget. A memtable with no live rows resets without
-    /// producing a segment. Query answers are unchanged.
+    /// Flushes shard `shard`'s memtable into a new frozen segment (dead
+    /// rows dropped), then merges the two smallest segments while the
+    /// shard exceeds its segment budget. A memtable with no live rows
+    /// resets without producing a segment. Query answers are unchanged.
     pub fn flush_shard(&mut self, shard: usize) {
-        let sh = &mut self.shards[shard];
-        if sh.mem.rows.live_rows > 0 {
-            let (sub, ids) = drain_live_rows(&sh.mem.rows, sh.mem.index.data(), self.dim);
-            sh.segments.push(build_segment(&self.builder, self.cost, sub, ids));
+        let rows = &self.shards[shard].mem.rows;
+        if !rows.row_of.is_empty() {
+            let mut live: Vec<(PointId, u32)> = rows.row_of.iter().map(|(&i, &r)| (i, r)).collect();
+            live.sort_unstable_by_key(|&(id, _)| id);
+            let slab = self.shards[shard].mem.levels[0].data();
+            let data =
+                DenseDataset::from_rows(self.dim, live.iter().map(|&(_, r)| slab.row(r as usize)));
+            let segment = self.segment(data, live.iter().map(|&(id, _)| id).collect());
+            self.shards[shard].segments.push(segment);
         }
-        if !sh.mem.rows.ids.is_empty() {
-            sh.mem = Memtable::new(self.dim, &self.builder, self.cost);
+        if !self.shards[shard].mem.rows.ids.is_empty() {
+            self.shards[shard].mem = self.memtable();
         }
-        while sh.segments.len() > self.max_segments {
-            merge_two_smallest(sh, &self.builder, self.cost, self.dim);
+        while self.shards[shard].segments.len() > self.max_segments {
+            let segs = &mut self.shards[shard].segments;
+            let mut order: Vec<usize> = (0..segs.len()).collect();
+            order.sort_by_key(|&i| (segs[i].meta.live_len(), i));
+            let (a, b) = (order[0].min(order[1]), order[0].max(order[1]));
+            let pair = vec![segs.remove(a), segs.remove(b - 1)];
+            if let Some(merged) = self.merge(pair) {
+                self.shards[shard].segments.insert(a, merged);
+            }
         }
     }
 
@@ -523,12 +472,12 @@ where
     /// most one clean segment. The memtable is untouched — flush first
     /// for a fully compacted shard.
     pub fn compact_shard(&mut self, shard: usize) {
-        let sh = &mut self.shards[shard];
-        if sh.segments.len() <= 1 && !sh.segments.iter().any(|s| s.meta.is_dirty()) {
+        let segs = &mut self.shards[shard].segments;
+        if segs.len() <= 1 && !segs.iter().any(|s| s.meta.is_dirty()) {
             return;
         }
-        let segs = std::mem::take(&mut sh.segments);
-        if let Some(merged) = merge_segments(segs, &self.builder, self.cost, self.dim) {
+        let segs = std::mem::take(segs);
+        if let Some(merged) = self.merge(segs) {
             self.shards[shard].segments.push(merged);
         }
     }
@@ -542,7 +491,7 @@ where
     }
 }
 
-impl<F, D> SegmentedIndex<F, D>
+impl<F, D, L> LsmIndex<F, D, L>
 where
     F: LshFamily<[f32]>,
     D: Distance<[f32]>,
@@ -565,16 +514,6 @@ where
     /// The shard assignment in force.
     pub fn assignment(&self) -> ShardAssignment {
         self.assignment
-    }
-
-    /// The cost model pinned at creation, shared by every source.
-    pub fn cost_model(&self) -> CostModel {
-        self.cost
-    }
-
-    /// The HLL configuration shared by every source's buckets.
-    pub fn hll_config(&self) -> HllConfig {
-        self.hll
     }
 
     /// Whether `id` is currently live.
@@ -595,14 +534,102 @@ where
         let mut ids = Vec::with_capacity(self.live);
         for sh in &self.shards {
             ids.extend(sh.mem.rows.row_of.keys().copied());
-            for seg in &sh.segments {
-                ids.extend(
-                    seg.meta.ids.iter().filter(|id| !seg.meta.tombstones.contains(id)).copied(),
-                );
-            }
+            ids.extend(sh.segments.iter().flat_map(|seg| seg.meta.live_ids()));
         }
         ids.sort_unstable();
         ids
+    }
+}
+
+impl<F, D, L> Parts for LsmIndex<F, D, L>
+where
+    F: LshFamily<[f32]>,
+    D: Distance<[f32]>,
+{
+    type Point = [f32];
+
+    fn points(&self) -> usize {
+        self.live
+    }
+
+    fn level(&self, li: usize) -> Level<'_, [f32]> {
+        let mut parts = Vec::new();
+        for sh in &self.shards {
+            if !sh.mem.rows.row_of.is_empty() {
+                let ids = Ids::Memtable(&sh.mem.rows);
+                parts.push(Part { tables: &sh.mem.levels[li], ids });
+            }
+            for seg in &sh.segments {
+                parts.push(Part { tables: &seg.levels[li], ids: Ids::Segment(&seg.meta) });
+            }
+        }
+        Level { parts, hll: self.hll[li], cost: self.costs[li], n: self.live }
+    }
+}
+
+impl<F, D> SegmentedIndex<F, D>
+where
+    F: LshFamily<[f32]> + Clone,
+    F::GFn: Send,
+    D: Distance<[f32]> + Clone,
+{
+    /// An empty segmented index for `dim`-dimensional points with the
+    /// default flush threshold and segment budget; the cost model is
+    /// pinned here, once (see [`LsmIndex`] on why an explicit model
+    /// matters for byte-identity).
+    pub fn new(dim: usize, assignment: ShardAssignment, builder: IndexBuilder<F, D>) -> Self {
+        Self::with_limits(dim, assignment, builder, DEFAULT_FLUSH_THRESHOLD, DEFAULT_MAX_SEGMENTS)
+    }
+
+    /// [`new`](Self::new) with explicit LSM knobs: a shard flushes its
+    /// memtable once it holds `flush_threshold` rows (live + dead),
+    /// and merges segments whenever it exceeds `max_segments`.
+    ///
+    /// Neither knob affects query answers — only when work happens.
+    ///
+    /// # Panics
+    /// Panics if `flush_threshold == 0` or `max_segments == 0`.
+    pub fn with_limits(
+        dim: usize,
+        assignment: ShardAssignment,
+        builder: IndexBuilder<F, D>,
+        flush_threshold: usize,
+        max_segments: usize,
+    ) -> Self {
+        Self::with_builders(dim, assignment, vec![builder], (flush_threshold, max_segments), ())
+    }
+
+    /// Builds the index over a whole corpus at once: one clean frozen
+    /// segment per shard, empty memtables. This is the
+    /// rebuild-from-scratch oracle the mutation paths are pinned
+    /// against — `ids[i]` is row `i`'s global id.
+    ///
+    /// # Panics
+    /// Panics if `ids.len() != data.len()` or `ids` contains
+    /// duplicates.
+    pub fn build_bulk(
+        data: DenseDataset,
+        ids: &[PointId],
+        assignment: ShardAssignment,
+        builder: IndexBuilder<F, D>,
+    ) -> Self {
+        Self::new(data.dim(), assignment, builder).bulk(data, ids)
+    }
+}
+
+impl<F, D> SegmentedIndex<F, D>
+where
+    F: LshFamily<[f32]>,
+    D: Distance<[f32]>,
+{
+    /// The cost model pinned at creation, shared by every part.
+    pub fn cost_model(&self) -> CostModel {
+        self.costs[0]
+    }
+
+    /// The HLL configuration shared by every part's buckets.
+    pub fn hll_config(&self) -> HllConfig {
+        self.hll[0]
     }
 
     /// Hybrid query with fresh scratch; batch workloads should reuse a
@@ -612,530 +639,10 @@ where
     }
 
     /// Runs a query under an explicit strategy; see
-    /// [`SegmentedQueryEngine::query_with_strategy`].
+    /// [`PartQueryEngine::query_with_strategy`].
     pub fn query_with_strategy(&self, q: &[f32], r: f64, strategy: Strategy) -> QueryOutput {
         SegmentedQueryEngine::new().query_with_strategy(self, q, r, strategy)
     }
-}
-
-/// One probed source's buckets: `seg == None` is the shard's memtable,
-/// `Some(i)` its `i`-th segment.
-struct ProbedSource<'a> {
-    shard: usize,
-    seg: Option<usize>,
-    buckets: Vec<BucketRef<'a>>,
-}
-
-/// Counts a memtable bucket's **live** members.
-fn live_count(members: &[PointId], live: &[bool]) -> usize {
-    members.iter().filter(|&&row| live[row as usize]).count()
-}
-
-/// Counts a segment bucket's non-tombstoned members.
-fn surviving_count(members: &[PointId], meta: &SegMeta) -> usize {
-    members.iter().filter(|id| !meta.tombstones.contains(id)).count()
-}
-
-/// Probes a memtable's tables, counting only live rows toward S1.
-fn probe_memtable<'a, F, D, B>(
-    index: &'a HybridLshIndex<DenseDataset, F, D, B>,
-    rows: &Rows,
-    q: &[f32],
-    collisions: &mut usize,
-) -> Vec<BucketRef<'a>>
-where
-    F: LshFamily<[f32]>,
-    D: Distance<[f32]>,
-    B: crate::store::BucketStore,
-{
-    let mut buckets = Vec::with_capacity(index.tables());
-    for table in index.raw_tables() {
-        if let Some(b) = table.bucket(q) {
-            *collisions += live_count(b.members(), &rows.live);
-            buckets.push(b);
-        }
-    }
-    buckets
-}
-
-/// Merges a probed source's buckets into the accumulator: clean
-/// segments ship their sketches (or raw global members) via
-/// [`BucketRef::contribute_to`]; dirty segments and the memtable feed
-/// surviving **global** ids raw, so the merged registers equal the
-/// rebuild's bit for bit.
-fn contribute_source(
-    acc: &mut MergeAccumulator,
-    buckets: &[BucketRef<'_>],
-    mem_rows: Option<&Rows>,
-    seg_meta: Option<&SegMeta>,
-) {
-    match (mem_rows, seg_meta) {
-        (Some(rows), None) => {
-            for b in buckets {
-                acc.add_raw(
-                    b.members()
-                        .iter()
-                        .filter(|&&row| rows.live[row as usize])
-                        .map(|&row| rows.ids[row as usize] as u64),
-                );
-            }
-        }
-        (None, Some(meta)) if meta.is_dirty() => {
-            for b in buckets {
-                acc.add_raw(
-                    b.members()
-                        .iter()
-                        .filter(|id| !meta.tombstones.contains(id))
-                        .map(|&id| id as u64),
-                );
-            }
-        }
-        (None, Some(_)) => {
-            for b in buckets {
-                b.contribute_to(acc);
-            }
-        }
-        _ => unreachable!("a source is a memtable or a segment"),
-    }
-}
-
-/// Collects a memtable source's deduped candidates: live rows whose
-/// global id is new to `seen`, pushed as memtable rows.
-fn collect_mem_cands(
-    seen: &mut FxHashSet<PointId>,
-    cands: &mut Vec<PointId>,
-    buckets: &[BucketRef<'_>],
-    rows: &Rows,
-) {
-    seen.clear();
-    cands.clear();
-    for b in buckets {
-        for &row in b.members() {
-            if rows.live[row as usize] && seen.insert(rows.ids[row as usize]) {
-                cands.push(row);
-            }
-        }
-    }
-}
-
-/// Collects a segment source's deduped candidates: surviving global
-/// members translated to segment rows by binary search.
-fn collect_seg_cands(
-    seen: &mut FxHashSet<PointId>,
-    cands: &mut Vec<PointId>,
-    buckets: &[BucketRef<'_>],
-    meta: &SegMeta,
-) {
-    seen.clear();
-    cands.clear();
-    for b in buckets {
-        for &global in b.members() {
-            if !meta.tombstones.contains(&global) && seen.insert(global) {
-                let local = meta.ids.binary_search(&global).expect("segment member is indexed");
-                cands.push(local as PointId);
-            }
-        }
-    }
-}
-
-/// Reusable scratch for querying a [`SegmentedIndex`]: per-source
-/// dedup set and candidate list plus the global merge accumulator —
-/// the segmented twin of
-/// [`ShardedQueryEngine`](crate::sharded::ShardedQueryEngine).
-#[derive(Debug, Default)]
-pub struct SegmentedQueryEngine {
-    seen: FxHashSet<PointId>,
-    cands: Vec<PointId>,
-    acc: Option<MergeAccumulator>,
-    verify: VerifyMode,
-}
-
-impl SegmentedQueryEngine {
-    /// Engine with empty scratch and the default kernel verify mode.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Engine with an explicit S3 verification mode.
-    pub fn with_verify_mode(verify: VerifyMode) -> Self {
-        Self { verify, ..Self::default() }
-    }
-
-    /// The S3 verification mode in force.
-    pub fn verify_mode(&self) -> VerifyMode {
-        self.verify
-    }
-
-    /// Hybrid query with reused scratch.
-    pub fn query<F, D>(&mut self, index: &SegmentedIndex<F, D>, q: &[f32], r: f64) -> QueryOutput
-    where
-        F: LshFamily<[f32]>,
-        D: Distance<[f32]>,
-    {
-        self.query_with_strategy(index, q, r, Strategy::Hybrid)
-    }
-
-    /// Runs one query across every memtable and segment under
-    /// `strategy`.
-    ///
-    /// S1 probes every source (dead rows excluded from the counts), S2
-    /// merges every probed sketch or surviving raw id into one
-    /// accumulator, the Algorithm 2 decision compares the global costs
-    /// once against the **live** `n`, and the chosen arm runs on every
-    /// source; outputs are mapped to global ids and reported in
-    /// ascending-id order — byte-identical to
-    /// [`SegmentedIndex::build_bulk`] on the surviving points.
-    pub fn query_with_strategy<F, D>(
-        &mut self,
-        index: &SegmentedIndex<F, D>,
-        q: &[f32],
-        r: f64,
-        strategy: Strategy,
-    ) -> QueryOutput
-    where
-        F: LshFamily<[f32]>,
-        D: Distance<[f32]>,
-    {
-        let t_start = Instant::now();
-        if matches!(strategy, Strategy::LinearOnly) {
-            let ids = self.linear_arm(index, q, r);
-            let total = t_start.elapsed().as_nanos() as u64;
-            return QueryOutput {
-                report: QueryReport {
-                    executed: ExecutedArm::Linear,
-                    collisions: 0,
-                    cand_size_estimate: 0.0,
-                    cand_size_actual: None,
-                    output_size: ids.len(),
-                    hash_nanos: 0,
-                    hll_nanos: 0,
-                    total_nanos: total,
-                },
-                ids,
-            };
-        }
-
-        // S1 on every source: the global collision count sums live
-        // bucket members across memtables and segments (together they
-        // partition the rebuild's buckets).
-        let t_hash = Instant::now();
-        let mut probed: Vec<ProbedSource<'_>> = Vec::new();
-        let mut collisions = 0usize;
-        for (si, shard) in index.shards.iter().enumerate() {
-            if shard.mem.rows.live_rows > 0 {
-                let buckets = probe_memtable(&shard.mem.index, &shard.mem.rows, q, &mut collisions);
-                probed.push(ProbedSource { shard: si, seg: None, buckets });
-            }
-            for (gi, seg) in shard.segments.iter().enumerate() {
-                let (buckets, c, _) = seg.index.probe(q);
-                if seg.meta.is_dirty() {
-                    collisions += buckets
-                        .iter()
-                        .map(|b| surviving_count(b.members(), &seg.meta))
-                        .sum::<usize>();
-                } else {
-                    collisions += c;
-                }
-                probed.push(ProbedSource { shard: si, seg: Some(gi), buckets });
-            }
-        }
-        let hash_nanos = t_hash.elapsed().as_nanos() as u64;
-
-        // S2 — Hybrid only, mirroring the unsharded path: one merged
-        // estimate across every probed source.
-        let (cand_estimate, hll_nanos) = if matches!(strategy, Strategy::LshOnly) {
-            (0.0, 0)
-        } else {
-            let t_hll = Instant::now();
-            let acc = ensure_accumulator(&mut self.acc, index.hll);
-            for src in &probed {
-                let shard = &index.shards[src.shard];
-                match src.seg {
-                    None => contribute_source(acc, &src.buckets, Some(&shard.mem.rows), None),
-                    Some(gi) => {
-                        contribute_source(acc, &src.buckets, None, Some(&shard.segments[gi].meta))
-                    }
-                }
-            }
-            (acc.estimate(), t_hll.elapsed().as_nanos() as u64)
-        };
-
-        // Global Algorithm 2 decision against the live point count.
-        let prefer_lsh = match strategy {
-            Strategy::LshOnly => true,
-            _ => index.cost.prefer_lsh(collisions, cand_estimate, index.live),
-        };
-        let (executed, ids, cand_actual) = if prefer_lsh {
-            let (ids, distinct) = self.lsh_arm(index, q, r, &probed);
-            (ExecutedArm::Lsh, ids, Some(distinct))
-        } else {
-            (ExecutedArm::Linear, self.linear_arm(index, q, r), None)
-        };
-        let cand_size_estimate = match (strategy, cand_actual) {
-            (Strategy::LshOnly, Some(actual)) => actual as f64,
-            _ => cand_estimate,
-        };
-        let total = t_start.elapsed().as_nanos() as u64;
-        QueryOutput {
-            report: QueryReport {
-                executed,
-                collisions,
-                cand_size_estimate,
-                cand_size_actual: cand_actual,
-                output_size: ids.len(),
-                hash_nanos,
-                hll_nanos,
-                total_nanos: total,
-            },
-            ids,
-        }
-    }
-
-    /// The LSH arm across sources: per source, dedup the surviving
-    /// colliding members, verify the whole list in one batched kernel
-    /// call against the source's own slab, map accepts to global ids.
-    /// Live ids are disjoint across sources, so no cross-source dedup
-    /// is needed; the concatenation is sorted into the canonical
-    /// ascending order. Returns `(ids, distinct candidate count)`.
-    fn lsh_arm<F, D>(
-        &mut self,
-        index: &SegmentedIndex<F, D>,
-        q: &[f32],
-        r: f64,
-        probed: &[ProbedSource<'_>],
-    ) -> (Vec<PointId>, usize)
-    where
-        F: LshFamily<[f32]>,
-        D: Distance<[f32]>,
-    {
-        let mut out_global = Vec::new();
-        let mut distinct = 0usize;
-        let mut local_out = Vec::new();
-        for src in probed {
-            let shard = &index.shards[src.shard];
-            let (data, distance, to_global): (_, _, &dyn Fn(PointId) -> PointId) = match src.seg {
-                None => {
-                    let mem = &shard.mem;
-                    collect_mem_cands(&mut self.seen, &mut self.cands, &src.buckets, &mem.rows);
-                    (mem.index.data(), mem.index.distance(), &|l: PointId| mem.rows.ids[l as usize])
-                }
-                Some(gi) => {
-                    let seg = &shard.segments[gi];
-                    collect_seg_cands(&mut self.seen, &mut self.cands, &src.buckets, &seg.meta);
-                    (seg.index.data(), seg.index.distance(), &|l: PointId| seg.meta.ids[l as usize])
-                }
-            };
-            distinct += self.cands.len();
-            local_out.clear();
-            match self.verify {
-                VerifyMode::Kernel => distance.verify_many(data, &self.cands, q, r, &mut local_out),
-                VerifyMode::Scalar => hlsh_vec::metric::verify_scalar(
-                    distance,
-                    data,
-                    &self.cands,
-                    q,
-                    r,
-                    &mut local_out,
-                ),
-            }
-            out_global.extend(local_out.iter().map(|&l| to_global(l)));
-        }
-        out_global.sort_unstable();
-        (out_global, distinct)
-    }
-
-    /// The brute-force arm across sources: scan each slab, keep live
-    /// rows, map to global ids, sort ascending. Per-point acceptance
-    /// is the same predicate the rebuild's scan applies, so filtering
-    /// dead rows afterwards changes nothing else.
-    fn linear_arm<F, D>(&mut self, index: &SegmentedIndex<F, D>, q: &[f32], r: f64) -> Vec<PointId>
-    where
-        F: LshFamily<[f32]>,
-        D: Distance<[f32]>,
-    {
-        let mut out_global = Vec::new();
-        let mut local_out = Vec::new();
-        for shard in &index.shards {
-            if shard.mem.rows.live_rows > 0 {
-                let (data, distance) = (shard.mem.index.data(), shard.mem.index.distance());
-                local_out.clear();
-                match self.verify {
-                    VerifyMode::Kernel => distance.scan_within(data, q, r, &mut local_out),
-                    VerifyMode::Scalar => {
-                        hlsh_vec::metric::scan_scalar(distance, data, q, r, &mut local_out)
-                    }
-                }
-                out_global.extend(
-                    local_out
-                        .iter()
-                        .filter(|&&l| shard.mem.rows.live[l as usize])
-                        .map(|&l| shard.mem.rows.ids[l as usize]),
-                );
-            }
-            for seg in &shard.segments {
-                let (data, distance) = (seg.index.data(), seg.index.distance());
-                local_out.clear();
-                match self.verify {
-                    VerifyMode::Kernel => distance.scan_within(data, q, r, &mut local_out),
-                    VerifyMode::Scalar => {
-                        hlsh_vec::metric::scan_scalar(distance, data, q, r, &mut local_out)
-                    }
-                }
-                out_global.extend(
-                    local_out
-                        .iter()
-                        .map(|&l| seg.meta.ids[l as usize])
-                        .filter(|id| !seg.meta.tombstones.contains(id)),
-                );
-            }
-        }
-        out_global.sort_unstable();
-        out_global
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Top-k
-// ---------------------------------------------------------------------------
-
-/// The mutable head of one top-k shard: one [`MapStore`]-backed index
-/// per schedule level (each owns its own small copy of the memtable
-/// points — memtables are small by construction, and per-level slabs
-/// keep the level indexes self-contained).
-struct TopKMemtable<F, D>
-where
-    F: LshFamily<[f32]>,
-    D: Distance<[f32]>,
-{
-    levels: Vec<HybridLshIndex<DenseDataset, F, D, MapStore>>,
-    rows: Rows,
-}
-
-impl<F, D> TopKMemtable<F, D>
-where
-    F: LshFamily<[f32]> + Clone,
-    F::GFn: Send,
-    D: Distance<[f32]> + Clone,
-{
-    fn new(dim: usize, level_builders: &[IndexBuilder<F, D>], level_costs: &[CostModel]) -> Self {
-        let levels = level_builders
-            .iter()
-            .zip(level_costs)
-            .map(|(b, &cost)| {
-                b.clone()
-                    .cost_model(cost)
-                    .lazy_threshold(usize::MAX)
-                    .sequential()
-                    .build(DenseDataset::new(dim))
-            })
-            .collect();
-        Self { levels, rows: Rows::default() }
-    }
-
-    fn insert(&mut self, id: PointId, point: &[f32]) {
-        for level in &mut self.levels {
-            level.insert(point);
-        }
-        self.rows.append(id);
-    }
-}
-
-/// One immutable top-k segment: a frozen radius-schedule ladder keyed
-/// by global ids, plus tombstones.
-struct TopKSegment<F, D>
-where
-    F: LshFamily<[f32]>,
-    D: Distance<[f32]>,
-{
-    index: TopKIndex<DenseDataset, F, D, FrozenStore>,
-    meta: SegMeta,
-}
-
-fn build_topk_segment<F, D>(
-    schedule: RadiusSchedule,
-    level_builders: &[IndexBuilder<F, D>],
-    level_costs: &[CostModel],
-    data: DenseDataset,
-    ids: Vec<PointId>,
-) -> TopKSegment<F, D>
-where
-    F: LshFamily<[f32]> + Clone,
-    F::GFn: Send,
-    D: Distance<[f32]> + Clone,
-{
-    let index = TopKIndex::build_mapped(
-        data,
-        schedule,
-        |li, _r| level_builders[li].clone().cost_model(level_costs[li]).sequential(),
-        Some(&ids),
-    )
-    .freeze();
-    TopKSegment { index, meta: SegMeta::new(ids) }
-}
-
-/// One top-k shard's LSM hierarchy.
-struct LsmTopKShard<F, D>
-where
-    F: LshFamily<[f32]>,
-    D: Distance<[f32]>,
-{
-    mem: TopKMemtable<F, D>,
-    segments: Vec<TopKSegment<F, D>>,
-}
-
-fn merge_topk_segments<F, D>(
-    segs: Vec<TopKSegment<F, D>>,
-    schedule: RadiusSchedule,
-    level_builders: &[IndexBuilder<F, D>],
-    level_costs: &[CostModel],
-    dim: usize,
-) -> Option<TopKSegment<F, D>>
-where
-    F: LshFamily<[f32]> + Clone,
-    F::GFn: Send,
-    D: Distance<[f32]> + Clone,
-{
-    let total: usize = segs.iter().map(|s| s.meta.live_len()).sum();
-    if total == 0 {
-        return None;
-    }
-    let mut entries: Vec<(PointId, usize, usize)> = Vec::with_capacity(total);
-    for (si, seg) in segs.iter().enumerate() {
-        for (local, &id) in seg.meta.ids.iter().enumerate() {
-            if !seg.meta.tombstones.contains(&id) {
-                entries.push((id, si, local));
-            }
-        }
-    }
-    entries.sort_unstable_by_key(|&(id, _, _)| id);
-    let mut sub = DenseDataset::with_capacity(dim, entries.len());
-    let mut ids = Vec::with_capacity(entries.len());
-    for &(id, si, local) in &entries {
-        sub.push(segs[si].index.data().row(local));
-        ids.push(id);
-    }
-    Some(build_topk_segment(schedule, level_builders, level_costs, sub, ids))
-}
-
-/// A top-k index that accepts inserts and deletes while serving
-/// `(distance, id)` rankings byte-identical to a ladder rebuilt from
-/// scratch on the surviving points — the top-k twin of
-/// [`SegmentedIndex`], walked by [`SegmentedTopKEngine`].
-pub struct SegmentedTopKIndex<F, D>
-where
-    F: LshFamily<[f32]>,
-    D: Distance<[f32]>,
-{
-    shards: Vec<LsmTopKShard<F, D>>,
-    assignment: ShardAssignment,
-    schedule: RadiusSchedule,
-    level_builders: Vec<IndexBuilder<F, D>>,
-    level_costs: Vec<CostModel>,
-    level_hll: Vec<HllConfig>,
-    dim: usize,
-    live: usize,
-    flush_threshold: usize,
-    max_segments: usize,
 }
 
 impl<F, D> SegmentedTopKIndex<F, D>
@@ -1146,23 +653,16 @@ where
 {
     /// An empty segmented ladder with the default LSM knobs.
     /// `level_builder(level, radius)` configures each level exactly as
-    /// for [`TopKIndex::build`]; each level's cost model is pinned at
-    /// creation (see [`SegmentedIndex::new`] on why explicit models
-    /// matter for byte-identity).
+    /// for [`TopKIndex::build`](crate::topk::TopKIndex::build); each
+    /// level's cost model is pinned at creation.
     pub fn new(
         dim: usize,
         assignment: ShardAssignment,
         schedule: RadiusSchedule,
         level_builder: impl Fn(usize, f64) -> IndexBuilder<F, D>,
     ) -> Self {
-        Self::with_limits(
-            dim,
-            assignment,
-            schedule,
-            level_builder,
-            DEFAULT_FLUSH_THRESHOLD,
-            DEFAULT_MAX_SEGMENTS,
-        )
+        let limits = (DEFAULT_FLUSH_THRESHOLD, DEFAULT_MAX_SEGMENTS);
+        Self::with_limits(dim, assignment, schedule, level_builder, limits.0, limits.1)
     }
 
     /// [`new`](Self::new) with explicit flush threshold and per-shard
@@ -1178,33 +678,8 @@ where
         flush_threshold: usize,
         max_segments: usize,
     ) -> Self {
-        assert!(flush_threshold >= 1, "flush threshold must be at least 1");
-        assert!(max_segments >= 1, "segment budget must be at least 1");
-        let level_builders: Vec<IndexBuilder<F, D>> =
-            schedule.radii().enumerate().map(|(li, r)| level_builder(li, r)).collect();
-        let empty = DenseDataset::new(dim);
-        let level_costs: Vec<CostModel> =
-            level_builders.iter().map(|b| b.resolve_cost(&empty)).collect();
-        let shards: Vec<LsmTopKShard<F, D>> = (0..assignment.shards())
-            .map(|_| LsmTopKShard {
-                mem: TopKMemtable::new(dim, &level_builders, &level_costs),
-                segments: Vec::new(),
-            })
-            .collect();
-        let level_hll: Vec<HllConfig> =
-            shards[0].mem.levels.iter().map(|l| l.hll_config()).collect();
-        Self {
-            shards,
-            assignment,
-            schedule,
-            level_builders,
-            level_costs,
-            level_hll,
-            dim,
-            live: 0,
-            flush_threshold,
-            max_segments,
-        }
+        let builders = schedule.radii().enumerate().map(|(li, r)| level_builder(li, r)).collect();
+        Self::with_builders(dim, assignment, builders, (flush_threshold, max_segments), schedule)
     }
 
     /// Builds the ladder over a whole corpus at once: one clean frozen
@@ -1220,145 +695,7 @@ where
         schedule: RadiusSchedule,
         level_builder: impl Fn(usize, f64) -> IndexBuilder<F, D>,
     ) -> Self {
-        assert_eq!(ids.len(), data.len(), "one id per data row");
-        let mut index = Self::new(data.dim(), assignment, schedule, level_builder);
-        let mut seen = FxHashSet::default();
-        for &id in ids {
-            assert!(seen.insert(id), "duplicate id {id} in bulk build");
-        }
-        let mut per_shard: Vec<Vec<(PointId, u32)>> = vec![Vec::new(); assignment.shards()];
-        for (row, &id) in ids.iter().enumerate() {
-            per_shard[assignment.shard_of(id)].push((id, row as u32));
-        }
-        for (si, mut pairs) in per_shard.into_iter().enumerate() {
-            if pairs.is_empty() {
-                continue;
-            }
-            pairs.sort_unstable_by_key(|&(id, _)| id);
-            let rows: Vec<PointId> = pairs.iter().map(|&(_, row)| row).collect();
-            let sub = data.subset(&rows);
-            let seg_ids: Vec<PointId> = pairs.iter().map(|&(id, _)| id).collect();
-            index.shards[si].segments.push(build_topk_segment(
-                index.schedule,
-                &index.level_builders,
-                &index.level_costs,
-                sub,
-                seg_ids,
-            ));
-        }
-        index.live = data.len();
-        index
-    }
-
-    /// Inserts `point` under global id `id` into every schedule level
-    /// of its shard's memtable; flushes at the threshold. Same
-    /// rejection rules as [`SegmentedIndex::insert`].
-    pub fn insert(&mut self, id: PointId, point: &[f32]) -> Result<(), MutationError> {
-        if point.len() != self.dim {
-            return Err(MutationError::DimMismatch { expected: self.dim, got: point.len() });
-        }
-        let si = self.assignment.shard_of(id);
-        let shard = &self.shards[si];
-        if shard.mem.rows.row_of.contains_key(&id)
-            || shard.segments.iter().any(|s| s.meta.contains_live(id))
-        {
-            return Err(MutationError::DuplicateId { id });
-        }
-        self.shards[si].mem.insert(id, point);
-        self.live += 1;
-        if self.shards[si].mem.rows.ids.len() >= self.flush_threshold {
-            self.flush_shard(si);
-        }
-        Ok(())
-    }
-
-    /// Deletes global id `id`; same semantics as
-    /// [`SegmentedIndex::delete`].
-    pub fn delete(&mut self, id: PointId) -> Result<(), MutationError> {
-        let si = self.assignment.shard_of(id);
-        let shard = &mut self.shards[si];
-        if shard.mem.rows.kill(id) {
-            self.live -= 1;
-            return Ok(());
-        }
-        for seg in &mut shard.segments {
-            if seg.meta.contains_live(id) {
-                seg.meta.tombstones.insert(id);
-                self.live -= 1;
-                return Ok(());
-            }
-        }
-        Err(MutationError::UnknownId { id })
-    }
-
-    /// Flushes shard `shard`'s memtable into a new frozen ladder
-    /// segment, then merges while over the segment budget.
-    pub fn flush_shard(&mut self, shard: usize) {
-        let sh = &mut self.shards[shard];
-        if sh.mem.rows.live_rows > 0 {
-            let (sub, ids) = drain_live_rows(&sh.mem.rows, sh.mem.levels[0].data(), self.dim);
-            sh.segments.push(build_topk_segment(
-                self.schedule,
-                &self.level_builders,
-                &self.level_costs,
-                sub,
-                ids,
-            ));
-        }
-        if !sh.mem.rows.ids.is_empty() {
-            sh.mem = TopKMemtable::new(self.dim, &self.level_builders, &self.level_costs);
-        }
-        while sh.segments.len() > self.max_segments {
-            if sh.segments.len() < 2 {
-                break;
-            }
-            let mut order: Vec<usize> = (0..sh.segments.len()).collect();
-            order.sort_by_key(|&i| (sh.segments[i].meta.live_len(), i));
-            let (a, b) = (order[0].min(order[1]), order[0].max(order[1]));
-            let seg_b = sh.segments.remove(b);
-            let seg_a = sh.segments.remove(a);
-            if let Some(merged) = merge_topk_segments(
-                vec![seg_a, seg_b],
-                self.schedule,
-                &self.level_builders,
-                &self.level_costs,
-                self.dim,
-            ) {
-                sh.segments.insert(a, merged);
-            }
-        }
-    }
-
-    /// Flushes every shard's memtable.
-    pub fn flush(&mut self) {
-        for si in 0..self.shards.len() {
-            self.flush_shard(si);
-        }
-    }
-
-    /// Merges all of shard `shard`'s segments into one clean segment.
-    pub fn compact_shard(&mut self, shard: usize) {
-        let sh = &mut self.shards[shard];
-        if sh.segments.len() <= 1 && !sh.segments.iter().any(|s| s.meta.is_dirty()) {
-            return;
-        }
-        let segs = std::mem::take(&mut sh.segments);
-        if let Some(merged) = merge_topk_segments(
-            segs,
-            self.schedule,
-            &self.level_builders,
-            &self.level_costs,
-            self.dim,
-        ) {
-            self.shards[shard].segments.push(merged);
-        }
-    }
-
-    /// Compacts every shard.
-    pub fn compact(&mut self) {
-        for si in 0..self.shards.len() {
-            self.compact_shard(si);
-        }
+        Self::new(data.dim(), assignment, schedule, level_builder).bulk(data, ids)
     }
 }
 
@@ -1367,56 +704,9 @@ where
     F: LshFamily<[f32]>,
     D: Distance<[f32]>,
 {
-    /// Number of live points.
-    pub fn len(&self) -> usize {
-        self.live
-    }
-
-    /// Whether no live points are indexed.
-    pub fn is_empty(&self) -> bool {
-        self.live == 0
-    }
-
-    /// The point dimensionality.
-    pub fn dim(&self) -> usize {
-        self.dim
-    }
-
-    /// The shard assignment in force.
-    pub fn assignment(&self) -> ShardAssignment {
-        self.assignment
-    }
-
     /// The radius schedule shared by every segment and memtable.
     pub fn schedule(&self) -> RadiusSchedule {
-        self.schedule
-    }
-
-    /// Whether `id` is currently live.
-    pub fn contains(&self, id: PointId) -> bool {
-        let shard = &self.shards[self.assignment.shard_of(id)];
-        shard.mem.rows.row_of.contains_key(&id)
-            || shard.segments.iter().any(|s| s.meta.contains_live(id))
-    }
-
-    /// Per-shard frozen segment counts.
-    pub fn segment_counts(&self) -> Vec<usize> {
-        self.shards.iter().map(|s| s.segments.len()).collect()
-    }
-
-    /// All live global ids, ascending.
-    pub fn live_ids(&self) -> Vec<PointId> {
-        let mut ids = Vec::with_capacity(self.live);
-        for sh in &self.shards {
-            ids.extend(sh.mem.rows.row_of.keys().copied());
-            for seg in &sh.segments {
-                ids.extend(
-                    seg.meta.ids.iter().filter(|id| !seg.meta.tombstones.contains(id)).copied(),
-                );
-            }
-        }
-        ids.sort_unstable();
-        ids
+        self.ladder
     }
 
     /// Answers one top-k query with fresh scratch.
@@ -1425,337 +715,20 @@ where
     }
 }
 
-/// Reusable scratch for running top-k queries over a
-/// [`SegmentedTopKIndex`] — the segmented twin of
-/// [`ShardedTopKEngine`](crate::sharded::ShardedTopKEngine), kept in
-/// lockstep with its walk (early exit, HLL defer + revisit, exact
-/// fallback) so rankings and reports stay byte-identical to a rebuilt
-/// ladder.
-#[derive(Debug, Default)]
-pub struct SegmentedTopKEngine {
-    seen: FxHashSet<PointId>,
-    cands: Vec<PointId>,
-    acc: Option<MergeAccumulator>,
-    reported: FxHashSet<PointId>,
-    verify: VerifyMode,
-}
-
-impl SegmentedTopKEngine {
-    /// Engine with empty scratch and the default kernel verify mode.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Engine whose rNNR level queries verify in an explicit
-    /// [`VerifyMode`]; output is identical across modes.
-    pub fn with_verify_mode(verify: VerifyMode) -> Self {
-        Self { verify, ..Self::default() }
-    }
-
-    /// Answers one top-k query under the default per-level
-    /// [`Strategy::Hybrid`].
-    pub fn query_topk<F, D>(
-        &mut self,
-        index: &SegmentedTopKIndex<F, D>,
-        q: &[f32],
-        k: usize,
-    ) -> TopKOutput
-    where
-        F: LshFamily<[f32]>,
-        D: Distance<[f32]>,
-    {
-        self.query_topk_with(index, q, k, Strategy::Hybrid)
-    }
-
-    /// The global schedule walk over memtables and segments; every
-    /// decision (skip, early exit, arm choice, fallback) is made on
-    /// merged statistics against the live point count, so the walk
-    /// matches a rebuilt ladder step for step.
-    pub fn query_topk_with<F, D>(
-        &mut self,
-        index: &SegmentedTopKIndex<F, D>,
-        q: &[f32],
-        k: usize,
-        strategy: Strategy,
-    ) -> TopKOutput
-    where
-        F: LshFamily<[f32]>,
-        D: Distance<[f32]>,
-    {
-        let t_start = Instant::now();
-        let n = index.live;
-        let k_eff = k.min(n);
-        let mut report = TopKReport {
-            levels_executed: 0,
-            levels_skipped: 0,
-            early_exit: false,
-            exact_fallback: false,
-            verified: 0,
-            total_nanos: 0,
-        };
-        if k_eff == 0 {
-            report.total_nanos = t_start.elapsed().as_nanos() as u64;
-            return TopKOutput { neighbors: Vec::new(), report };
-        }
-
-        let mut heap = BoundedHeap::new(k_eff);
-        self.reported.clear();
-        let mut covered_r = 0.0_f64;
-        let mut deferred: Vec<usize> = Vec::new();
-
-        for li in 0..index.schedule.levels() {
-            let r = index.schedule.radius(li);
-            if report.levels_executed > 0
-                && heap.is_full()
-                && heap.worst_dist().is_some_and(|w| w <= covered_r)
-            {
-                report.early_exit = true;
-                break;
-            }
-            let skip_at_most = if report.levels_executed > 0 {
-                let m = index.level_hll[li].registers() as f64;
-                self.reported.len() as f64 * (1.0 + 1.04 / m.sqrt())
-            } else {
-                f64::NEG_INFINITY // level 0 always runs
-            };
-            match self.query_level(index, li, q, r, strategy, skip_at_most) {
-                None => {
-                    deferred.push(li);
-                    continue;
-                }
-                Some(pairs) => {
-                    report.levels_executed += 1;
-                    covered_r = r;
-                    for (id, dist) in pairs {
-                        if self.reported.insert(id) {
-                            heap.push(Neighbor { id, dist });
-                        }
-                    }
-                }
-            }
-        }
-
-        if heap.len() < k_eff {
-            // Exact fallback: distance-returning scans per source with
-            // dead rows and already-reported ids filtered out — the
-            // heap's content depends only on the offered set, which
-            // equals the rebuild's fallback set.
-            report.exact_fallback = true;
-            report.levels_skipped = deferred.len();
-            for shard in &index.shards {
-                if shard.mem.rows.live_rows > 0 {
-                    let mem = &shard.mem;
-                    for (local, dist) in fallback_scan_pairs(
-                        mem.levels[0].data(),
-                        mem.levels[0].distance(),
-                        q,
-                        self.verify,
-                    ) {
-                        if !mem.rows.live[local as usize] {
-                            continue;
-                        }
-                        let id = mem.rows.ids[local as usize];
-                        if !self.reported.contains(&id) {
-                            heap.push(Neighbor { id, dist });
-                        }
-                    }
-                }
-                for seg in &shard.segments {
-                    for (local, dist) in
-                        fallback_scan_pairs(seg.index.data(), seg.index.distance(), q, self.verify)
-                    {
-                        let id = seg.meta.ids[local as usize];
-                        if seg.meta.tombstones.contains(&id) || self.reported.contains(&id) {
-                            continue;
-                        }
-                        heap.push(Neighbor { id, dist });
-                    }
-                }
-            }
-        } else if !deferred.is_empty() {
-            // Revisit deferred levels once the heap fills, exactly as
-            // the unsharded walk does.
-            for li in deferred {
-                let pairs = self
-                    .query_level(
-                        index,
-                        li,
-                        q,
-                        index.schedule.radius(li),
-                        strategy,
-                        f64::NEG_INFINITY,
-                    )
-                    .expect("forced level query always executes");
-                report.levels_executed += 1;
-                for (id, dist) in pairs {
-                    if self.reported.insert(id) {
-                        heap.push(Neighbor { id, dist });
-                    }
-                }
-            }
-        }
-
-        report.verified = self.reported.len();
-        report.total_nanos = t_start.elapsed().as_nanos() as u64;
-        TopKOutput { neighbors: heap.into_sorted_vec(), report }
-    }
-
-    /// One level's rNNR query across every source: merged probe +
-    /// estimate, global skip and arm decisions, per-source
-    /// verification with distances, global ids out. `None` = deferred
-    /// by the HLL prediction.
-    fn query_level<F, D>(
-        &mut self,
-        index: &SegmentedTopKIndex<F, D>,
-        li: usize,
-        q: &[f32],
-        r: f64,
-        strategy: Strategy,
-        skip_at_most: f64,
-    ) -> Option<Vec<(PointId, f64)>>
-    where
-        F: LshFamily<[f32]>,
-        D: Distance<[f32]>,
-    {
-        if !matches!(strategy, Strategy::LinearOnly) {
-            // Merged S1 + S2 over every source's level-li index.
-            let mut probed: Vec<ProbedSource<'_>> = Vec::new();
-            let mut collisions = 0usize;
-            for (si, shard) in index.shards.iter().enumerate() {
-                if shard.mem.rows.live_rows > 0 {
-                    let buckets =
-                        probe_memtable(&shard.mem.levels[li], &shard.mem.rows, q, &mut collisions);
-                    probed.push(ProbedSource { shard: si, seg: None, buckets });
-                }
-                for (gi, seg) in shard.segments.iter().enumerate() {
-                    let (buckets, c, _) = seg.index.levels()[li].probe(q);
-                    if seg.meta.is_dirty() {
-                        collisions += buckets
-                            .iter()
-                            .map(|b| surviving_count(b.members(), &seg.meta))
-                            .sum::<usize>();
-                    } else {
-                        collisions += c;
-                    }
-                    probed.push(ProbedSource { shard: si, seg: Some(gi), buckets });
-                }
-            }
-            let acc = ensure_accumulator(&mut self.acc, index.level_hll[li]);
-            for src in &probed {
-                let shard = &index.shards[src.shard];
-                match src.seg {
-                    None => contribute_source(acc, &src.buckets, Some(&shard.mem.rows), None),
-                    Some(gi) => {
-                        contribute_source(acc, &src.buckets, None, Some(&shard.segments[gi].meta))
-                    }
-                }
-            }
-            let cand_estimate = acc.estimate();
-            if cand_estimate <= skip_at_most {
-                return None;
-            }
-            let prefer_lsh = match strategy {
-                Strategy::LshOnly => true,
-                _ => index.level_costs[li].prefer_lsh(collisions, cand_estimate, index.live),
-            };
-            if prefer_lsh {
-                let mut out_global = Vec::new();
-                let mut local_out = Vec::new();
-                for src in &probed {
-                    let shard = &index.shards[src.shard];
-                    let (data, distance, to_global): (_, _, &dyn Fn(PointId) -> PointId) = match src
-                        .seg
-                    {
-                        None => {
-                            let mem = &shard.mem;
-                            collect_mem_cands(
-                                &mut self.seen,
-                                &mut self.cands,
-                                &src.buckets,
-                                &mem.rows,
-                            );
-                            (mem.levels[li].data(), mem.levels[li].distance(), &|l: PointId| {
-                                mem.rows.ids[l as usize]
-                            })
-                        }
-                        Some(gi) => {
-                            let seg = &shard.segments[gi];
-                            collect_seg_cands(
-                                &mut self.seen,
-                                &mut self.cands,
-                                &src.buckets,
-                                &seg.meta,
-                            );
-                            (seg.index.data(), seg.index.levels()[li].distance(), &|l: PointId| {
-                                seg.meta.ids[l as usize]
-                            })
-                        }
-                    };
-                    local_out.clear();
-                    match self.verify {
-                        VerifyMode::Kernel => {
-                            distance.verify_many_dist(data, &self.cands, q, r, &mut local_out)
-                        }
-                        VerifyMode::Scalar => hlsh_vec::metric::verify_scalar_dist(
-                            distance,
-                            data,
-                            &self.cands,
-                            q,
-                            r,
-                            &mut local_out,
-                        ),
-                    }
-                    out_global.extend(local_out.iter().map(|&(l, d)| (to_global(l), d)));
-                }
-                return Some(out_global);
-            }
-        }
-        // Linear arm (forced or chosen): scan every source with
-        // distances, dead rows filtered.
-        let mut out_global = Vec::new();
-        let mut local_out = Vec::new();
-        for shard in &index.shards {
-            if shard.mem.rows.live_rows > 0 {
-                let mem = &shard.mem;
-                let (data, distance) = (mem.levels[li].data(), mem.levels[li].distance());
-                local_out.clear();
-                match self.verify {
-                    VerifyMode::Kernel => distance.scan_within_dist(data, q, r, &mut local_out),
-                    VerifyMode::Scalar => {
-                        hlsh_vec::metric::scan_scalar_dist(distance, data, q, r, &mut local_out)
-                    }
-                }
-                out_global.extend(
-                    local_out
-                        .iter()
-                        .filter(|&&(l, _)| mem.rows.live[l as usize])
-                        .map(|&(l, d)| (mem.rows.ids[l as usize], d)),
-                );
-            }
-            for seg in &shard.segments {
-                let (data, distance) = (seg.index.data(), seg.index.levels()[li].distance());
-                local_out.clear();
-                match self.verify {
-                    VerifyMode::Kernel => distance.scan_within_dist(data, q, r, &mut local_out),
-                    VerifyMode::Scalar => {
-                        hlsh_vec::metric::scan_scalar_dist(distance, data, q, r, &mut local_out)
-                    }
-                }
-                out_global.extend(
-                    local_out
-                        .iter()
-                        .map(|&(l, d)| (seg.meta.ids[l as usize], d))
-                        .filter(|(id, _)| !seg.meta.tombstones.contains(id)),
-                );
-            }
-        }
-        Some(out_global)
+impl<F, D> Ladder for SegmentedTopKIndex<F, D>
+where
+    F: LshFamily<[f32]>,
+    D: Distance<[f32]>,
+{
+    fn ladder(&self) -> RadiusSchedule {
+        self.ladder
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::search::VerifyMode;
     use crate::sharded::{ShardedIndex, ShardedTopKIndex};
     use hlsh_families::PStableL2;
     use hlsh_vec::L2;

@@ -17,8 +17,9 @@
 //!    restricted to the shard's points. Without global ids the merged
 //!    registers would encode local row numbers and shard-count-
 //!    dependent estimates would leak into the walk's decisions.
-//! 2. **Global decisions** — Algorithm 2's cost comparison and the
-//!    top-k engine's skip/early-exit decisions run once per query on
+//! 2. **Global decisions** — each shard is one *part* of the shared
+//!    query core ([`crate::part`]): Algorithm 2's cost comparison and
+//!    the top-k walk's skip/early-exit decisions run once per query on
 //!    the *merged* statistics (summed collision counts, one
 //!    accumulator over every shard's probed sketches, the global `n`,
 //!    and a cost model calibrated once on the full data), never
@@ -41,23 +42,22 @@
 //! resident data equals the unsharded index and each shard is a
 //! self-contained unit ready to migrate to another machine.
 
-use std::time::Instant;
-
 use hlsh_families::LshFamily;
 use hlsh_hll::hash::splitmix64;
-use hlsh_hll::MergeAccumulator;
 use hlsh_vec::parallel::par_map_with;
 use hlsh_vec::{Distance, PointId, PointSet, SubsetPointSet};
 
-use crate::bucket::BucketRef;
 use crate::builder::IndexBuilder;
-use crate::hasher::FxHashSet;
+use crate::cost::CostModel;
 use crate::index::HybridLshIndex;
-use crate::report::{QueryOutput, QueryReport};
+use crate::part::{
+    query_batch, Ids, Ladder, Level, Part, PartBatch, PartQueryEngine, Parts, Scratch, Tables,
+};
+use crate::report::QueryOutput;
 use crate::schedule::RadiusSchedule;
-use crate::search::{ExecutedArm, Strategy, VerifyMode};
+use crate::search::Strategy;
 use crate::store::{BucketStore, FrozenStore, MapStore};
-use crate::topk::{BoundedHeap, Neighbor, TopKIndex, TopKOutput, TopKReport};
+use crate::topk::{topk_batch, TopKEngine, TopKIndex, TopKOutput};
 
 /// Deterministic seeded assignment of global point ids to shards.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -108,16 +108,9 @@ impl ShardAssignment {
     }
 }
 
-/// An rNNR index partitioned across `N` shards; see the module docs for
-/// the byte-identity contract.
-pub struct ShardedIndex<S, F, D, B = MapStore>
-where
-    S: PointSet,
-    F: LshFamily<S::Point>,
-    D: Distance<S::Point>,
-    B: BucketStore,
-{
-    shards: Vec<HybridLshIndex<S, F, D, B>>,
+/// Where every global id lives: the per-shard owner lists and their
+/// inverse, shared by the rNNR and top-k sharded indexes.
+struct ShardLayout {
     /// `owners[s][local] = global` (ascending per shard).
     owners: Vec<Vec<PointId>>,
     /// `local_of[global] = local` (the shard is implied by the
@@ -128,51 +121,79 @@ where
     n: usize,
 }
 
-/// Inverts per-shard owner lists into the `global → local` table.
-fn invert_owners(owners: &[Vec<PointId>], n: usize) -> Vec<PointId> {
-    let mut local_of = vec![0 as PointId; n];
-    for ids in owners {
-        for (local, &global) in ids.iter().enumerate() {
-            local_of[global as usize] = local as PointId;
+impl ShardLayout {
+    fn new(assignment: ShardAssignment, n: usize) -> Self {
+        Self::from_owners(assignment.partition(n), assignment, n)
+    }
+
+    /// The layout of persisted owner lists; `local_of` is recomputed,
+    /// the one direction that is always consistent.
+    ///
+    /// # Panics
+    /// Panics if the owner lists do not match the assignment or do not
+    /// cover `0..n`, or if `sizes` (the shard sizes) disagree with them.
+    fn checked(
+        owners: Vec<Vec<PointId>>,
+        assignment: ShardAssignment,
+        n: usize,
+        sizes: impl Iterator<Item = usize>,
+    ) -> Self {
+        assert_eq!(owners.len(), assignment.shards(), "one owner list per assignment shard");
+        assert_eq!(owners.iter().map(Vec::len).sum::<usize>(), n, "owner lists must cover 0..n");
+        for (size, ids) in sizes.zip(&owners) {
+            assert_eq!(size, ids.len(), "shard size must match its owner list");
+            assert!(ids.iter().all(|&g| (g as usize) < n), "owner id out of range");
         }
+        Self::from_owners(owners, assignment, n)
     }
-    local_of
-}
 
-/// Clears and returns the engine's merge accumulator for `config`,
-/// recreating it only when the config changes between indexes (the
-/// sharded twin of `QueryEngine::accumulator`, shared by the rNNR and
-/// top-k engines here and by the segmented engines).
-pub(crate) fn ensure_accumulator(
-    slot: &mut Option<MergeAccumulator>,
-    config: hlsh_hll::HllConfig,
-) -> &mut MergeAccumulator {
-    match &mut *slot {
-        Some(acc) if acc.config() == config => acc.clear(),
-        other => *other = Some(MergeAccumulator::new(config)),
-    }
-    slot.as_mut().expect("accumulator just ensured")
-}
-
-/// Collects one shard's deduped candidates from its probed buckets:
-/// `seen` dedups the **global** member ids, `cands` receives the
-/// corresponding shard-local rows (via `local_of`) ready for slab
-/// verification. Shared by the rNNR LSH arm and the top-k level query.
-fn collect_shard_cands(
-    seen: &mut FxHashSet<PointId>,
-    cands: &mut Vec<PointId>,
-    buckets: &[BucketRef<'_>],
-    local_of: &[PointId],
-) {
-    seen.clear();
-    cands.clear();
-    for b in buckets {
-        for &global in b.members() {
-            if seen.insert(global) {
-                cands.push(local_of[global as usize]);
+    fn from_owners(owners: Vec<Vec<PointId>>, assignment: ShardAssignment, n: usize) -> Self {
+        let mut local_of = vec![0 as PointId; n];
+        for ids in &owners {
+            for (local, &global) in ids.iter().enumerate() {
+                local_of[global as usize] = local as PointId;
             }
         }
+        Self { owners, local_of, assignment, n }
     }
+
+    /// Shard `s`'s part over `tables` (one of the shard's indexes).
+    fn part<'a, P: ?Sized>(&'a self, s: usize, tables: &'a dyn Tables<P>) -> Part<'a, P> {
+        Part { tables, ids: Ids::Owned { owners: &self.owners[s], local_of: &self.local_of } }
+    }
+
+    /// Builds one shard per owner list in parallel (one worker each):
+    /// `build_one(shard, rows, sequential)` gets the shard's subset of
+    /// `data` and whether nested table-parallelism should be off (it
+    /// is pointless once shards already fan out).
+    fn build<S, T>(&self, data: S, build_one: impl Fn(usize, S, bool) -> T + Sync) -> Vec<T>
+    where
+        S: SubsetPointSet + Sync,
+        T: Send,
+    {
+        let sequential = self.owners.len() > 1;
+        let shards = par_map_with(
+            self.owners.len(),
+            None,
+            || (),
+            |_, si| build_one(si, data.subset(&self.owners[si]), sequential),
+        );
+        drop(data);
+        shards
+    }
+}
+
+/// An rNNR index partitioned across `N` shards; see the module docs for
+/// the byte-identity contract.
+pub struct ShardedIndex<S, F, D, B = MapStore>
+where
+    S: PointSet,
+    F: LshFamily<S::Point>,
+    D: Distance<S::Point>,
+    B: BucketStore,
+{
+    shards: Vec<HybridLshIndex<S, F, D, B>>,
+    layout: ShardLayout,
 }
 
 impl<S, F, D> ShardedIndex<S, F, D, MapStore>
@@ -191,21 +212,14 @@ where
     /// Consumes `data`: after the per-shard copies are cut, the
     /// original is dropped, keeping resident memory at one copy.
     pub fn build(data: S, assignment: ShardAssignment, builder: IndexBuilder<F, D>) -> Self {
-        Self::build_each(data, assignment, &builder, |b, sub, cost, ids| {
-            b.cost_model(cost).build_mapped(sub, Some(ids))
-        })
+        Self::build_each(data, assignment, builder, |b, sub, ids| b.build_mapped(sub, Some(ids)))
     }
 
     /// Converts every shard to the read-optimised [`FrozenStore`];
     /// query results are byte-identical before and after.
     pub fn freeze(self) -> ShardedIndex<S, F, D, FrozenStore> {
-        ShardedIndex {
-            shards: self.shards.into_iter().map(HybridLshIndex::freeze).collect(),
-            owners: self.owners,
-            local_of: self.local_of,
-            assignment: self.assignment,
-            n: self.n,
-        }
+        let shards = self.shards.into_iter().map(HybridLshIndex::freeze).collect();
+        ShardedIndex { shards, layout: self.layout }
     }
 }
 
@@ -219,26 +233,19 @@ where
     /// Like [`ShardedIndex::build`] but every shard's tables are laid
     /// out directly as frozen CSR arenas (no intermediate hashmaps).
     pub fn build_frozen(data: S, assignment: ShardAssignment, builder: IndexBuilder<F, D>) -> Self {
-        Self::build_each(data, assignment, &builder, |b, sub, cost, ids| {
-            b.cost_model(cost).build_frozen_mapped(sub, Some(ids))
+        Self::build_each(data, assignment, builder, |b, sub, ids| {
+            b.build_frozen_mapped(sub, Some(ids))
         })
     }
 
     /// Converts every shard back to the mutable [`MapStore`] backend.
     pub fn thaw(self) -> ShardedIndex<S, F, D, MapStore> {
-        ShardedIndex {
-            shards: self.shards.into_iter().map(HybridLshIndex::thaw).collect(),
-            owners: self.owners,
-            local_of: self.local_of,
-            assignment: self.assignment,
-            n: self.n,
-        }
+        let shards = self.shards.into_iter().map(HybridLshIndex::thaw).collect();
+        ShardedIndex { shards, layout: self.layout }
     }
 
     /// Reassembles a sharded index from already-built shards and their
     /// persisted owner lists — the snapshot loader's entry point.
-    /// `local_of` is recomputed from `owners`, which is the one
-    /// direction that is always consistent.
     ///
     /// # Panics
     /// Panics if the shapes disagree: shard count vs assignment, owner
@@ -250,14 +257,8 @@ where
         n: usize,
     ) -> Self {
         assert_eq!(shards.len(), assignment.shards(), "one shard index per assignment shard");
-        assert_eq!(owners.len(), shards.len(), "one owner list per shard");
-        assert_eq!(owners.iter().map(Vec::len).sum::<usize>(), n, "owner lists must cover 0..n");
-        for (shard, ids) in shards.iter().zip(&owners) {
-            assert_eq!(shard.len(), ids.len(), "shard size must match its owner list");
-            assert!(ids.iter().all(|&g| (g as usize) < n), "owner id out of range");
-        }
-        let local_of = invert_owners(&owners, n);
-        Self { shards, owners, local_of, assignment, n }
+        let layout = ShardLayout::checked(owners, assignment, n, shards.iter().map(|s| s.len()));
+        Self { shards, layout }
     }
 }
 
@@ -275,45 +276,20 @@ where
     fn build_each(
         data: S,
         assignment: ShardAssignment,
-        builder: &IndexBuilder<F, D>,
-        build_one: impl Fn(
-                IndexBuilder<F, D>,
-                S,
-                crate::cost::CostModel,
-                &[PointId],
-            ) -> HybridLshIndex<S, F, D, B>
-            + Sync,
+        builder: IndexBuilder<F, D>,
+        build_one: impl Fn(IndexBuilder<F, D>, S, &[PointId]) -> HybridLshIndex<S, F, D, B> + Sync,
     ) -> Self
     where
-        S: Send,
         HybridLshIndex<S, F, D, B>: Send,
     {
-        let n = data.len();
-        let owners = assignment.partition(n);
-        let local_of = invert_owners(&owners, n);
+        let layout = ShardLayout::new(assignment, data.len());
         let cost = builder.resolve_cost(&data);
-        // One worker per shard; nested table-parallelism is pointless
-        // once shards already fan out, so inner builds go sequential
-        // whenever more than one shard exists.
-        let inner_sequential = owners.len() > 1;
-        let data_ref = &data;
-        let owners_ref = &owners;
-        let build_one_ref = &build_one;
-        let shards = par_map_with(
-            owners.len(),
-            None,
-            || (),
-            |_, si| {
-                let sub = data_ref.subset(&owners_ref[si]);
-                let mut b = builder.clone();
-                if inner_sequential {
-                    b = b.sequential();
-                }
-                build_one_ref(b, sub, cost, &owners_ref[si])
-            },
-        );
-        drop(data);
-        Self { shards, owners, local_of, assignment, n }
+        let builder = builder.cost_model(cost);
+        let shards = layout.build(data, |si, sub, sequential| {
+            let b = if sequential { builder.clone().sequential() } else { builder.clone() };
+            build_one(b, sub, &layout.owners[si])
+        });
+        Self { shards, layout }
     }
 }
 
@@ -326,17 +302,17 @@ where
 {
     /// Total indexed points across all shards.
     pub fn len(&self) -> usize {
-        self.n
+        self.layout.n
     }
 
     /// Whether no points are indexed.
     pub fn is_empty(&self) -> bool {
-        self.n == 0
+        self.layout.n == 0
     }
 
     /// The shard assignment in force.
     pub fn assignment(&self) -> ShardAssignment {
-        self.assignment
+        self.layout.assignment
     }
 
     /// The per-shard indexes. **Caution:** shard tables store *global*
@@ -349,7 +325,7 @@ where
 
     /// Shard `s`'s global ids, ascending (`owners[local] = global`).
     pub fn global_ids(&self, shard: usize) -> &[PointId] {
-        &self.owners[shard]
+        &self.layout.owners[shard]
     }
 
     /// Hybrid query (Algorithm 2 with a global decision); allocates
@@ -361,9 +337,42 @@ where
     }
 
     /// Runs a query under an explicit strategy; see
-    /// [`ShardedQueryEngine::query_with_strategy`].
+    /// [`PartQueryEngine::query_with_strategy`].
     pub fn query_with_strategy(&self, q: &S::Point, r: f64, strategy: Strategy) -> QueryOutput {
         ShardedQueryEngine::new().query_with_strategy(self, q, r, strategy)
+    }
+
+    /// The HLL configuration shared by every shard's buckets.
+    pub fn hll_config(&self) -> hlsh_hll::HllConfig {
+        self.shards[0].hll_config()
+    }
+
+    /// The cost model shared by every shard (resolved once on the full
+    /// data at build time).
+    pub fn cost_model(&self) -> CostModel {
+        self.shards[0].cost_model()
+    }
+
+    /// One shard's S1/S2 summary for one query: probe the shard's
+    /// tables, sum the bucket sizes, merge the probed sketches.
+    ///
+    /// # Panics
+    /// Panics if `shard` is out of range.
+    pub fn shard_summary(&self, shard: usize, q: &S::Point) -> ShardSummary {
+        let part = self.layout.part(shard, &self.shards[shard]);
+        part.summary(q, self.hll_config(), &mut Scratch::default())
+    }
+
+    /// One shard's chosen-arm execution for one query: the LSH arm
+    /// (probe → dedup global members → batched kernel verification) or
+    /// the linear arm (full shard scan), either way returning the
+    /// shard's **global** ids within `r`, ascending.
+    ///
+    /// # Panics
+    /// Panics if `shard` is out of range.
+    pub fn shard_arm(&self, shard: usize, q: &S::Point, r: f64, lsh: bool) -> Vec<PointId> {
+        let part = self.layout.part(shard, &self.shards[shard]);
+        part.arm_ids(q, r, lsh, &mut Scratch::default())
     }
 }
 
@@ -397,246 +406,48 @@ where
     where
         Q: AsRef<S::Point> + Sync,
     {
-        par_map_with(queries.len(), threads, ShardedQueryEngine::new, |engine, qi| {
-            engine.query_with_strategy(self, queries[qi].as_ref(), r, strategy)
-        })
+        query_batch(self, queries, r, strategy, threads)
     }
 }
 
-/// Reusable scratch for querying a [`ShardedIndex`]: per-shard dedup
-/// set and candidate list plus the *global* merge accumulator.
-#[derive(Debug, Default)]
-pub struct ShardedQueryEngine {
-    seen: FxHashSet<PointId>,
-    cands: Vec<PointId>,
-    acc: Option<MergeAccumulator>,
-    verify: VerifyMode,
+impl<S, F, D, B> Parts for ShardedIndex<S, F, D, B>
+where
+    S: PointSet,
+    F: LshFamily<S::Point>,
+    D: Distance<S::Point>,
+    B: BucketStore,
+{
+    type Point = S::Point;
+
+    fn points(&self) -> usize {
+        self.layout.n
+    }
+
+    fn level(&self, _li: usize) -> Level<'_, S::Point> {
+        Level {
+            parts: self.shards.iter().enumerate().map(|(s, t)| self.layout.part(s, t)).collect(),
+            hll: self.hll_config(),
+            cost: self.cost_model(),
+            n: self.layout.n,
+        }
+    }
 }
 
-impl ShardedQueryEngine {
-    /// Engine with empty scratch and the default kernel verify mode.
-    pub fn new() -> Self {
-        Self::default()
-    }
+/// Reusable scratch for querying a [`ShardedIndex`] (the shared
+/// [`PartQueryEngine`]).
+pub type ShardedQueryEngine = PartQueryEngine;
 
-    /// Engine with an explicit S3 verification mode.
-    pub fn with_verify_mode(verify: VerifyMode) -> Self {
-        Self { verify, ..Self::default() }
-    }
-
-    /// The S3 verification mode in force.
-    pub fn verify_mode(&self) -> VerifyMode {
-        self.verify
-    }
-
-    /// Hybrid query with reused scratch.
-    pub fn query<S, F, D, B>(
-        &mut self,
-        index: &ShardedIndex<S, F, D, B>,
-        q: &S::Point,
-        r: f64,
-    ) -> QueryOutput
-    where
-        S: PointSet,
-        F: LshFamily<S::Point>,
-        D: Distance<S::Point>,
-        B: BucketStore,
-    {
-        self.query_with_strategy(index, q, r, Strategy::Hybrid)
-    }
-
-    /// Runs one query across every shard under `strategy`.
-    ///
-    /// S1 probes all shards, S2 merges every probed sketch into one
-    /// accumulator, the Algorithm 2 decision compares the *global*
-    /// costs once, and the chosen arm then runs on every shard; shard
-    /// outputs are mapped to global ids and reported in ascending-id
-    /// order. The reported id *set* is identical to the unsharded
-    /// index's under the same strategy (see the module docs).
-    pub fn query_with_strategy<S, F, D, B>(
-        &mut self,
-        index: &ShardedIndex<S, F, D, B>,
-        q: &S::Point,
-        r: f64,
-        strategy: Strategy,
-    ) -> QueryOutput
-    where
-        S: PointSet,
-        F: LshFamily<S::Point>,
-        D: Distance<S::Point>,
-        B: BucketStore,
-    {
-        let t_start = Instant::now();
-        if matches!(strategy, Strategy::LinearOnly) {
-            let ids = self.linear_arm(index, q, r);
-            let total = t_start.elapsed().as_nanos() as u64;
-            return QueryOutput {
-                report: QueryReport {
-                    executed: ExecutedArm::Linear,
-                    collisions: 0,
-                    cand_size_estimate: 0.0,
-                    cand_size_actual: None,
-                    output_size: ids.len(),
-                    hash_nanos: 0,
-                    hll_nanos: 0,
-                    total_nanos: total,
-                },
-                ids,
-            };
-        }
-
-        // S1 on every shard: global collision count is the sum of the
-        // per-shard bucket sizes (shard buckets partition the global
-        // bucket).
-        let t_hash = Instant::now();
-        let mut per_shard: Vec<Vec<BucketRef<'_>>> = Vec::with_capacity(index.shards.len());
-        let mut collisions = 0usize;
-        for shard in &index.shards {
-            let (buckets, c, _) = shard.probe(q);
-            collisions += c;
-            per_shard.push(buckets);
-        }
-        let hash_nanos = t_hash.elapsed().as_nanos() as u64;
-
-        // S2 — Hybrid only, mirroring the unsharded path (LshOnly
-        // probes without estimating): one merged estimate across every
-        // probed bucket of every shard — register-wise max is
-        // associative, so this equals the unsharded merged sketch byte
-        // for byte.
-        let (cand_estimate, hll_nanos) = if matches!(strategy, Strategy::LshOnly) {
-            (0.0, 0)
-        } else {
-            let t_hll = Instant::now();
-            let config = index.shards[0].hll_config();
-            let acc = ensure_accumulator(&mut self.acc, config);
-            for buckets in &per_shard {
-                for b in buckets {
-                    b.contribute_to(acc);
-                }
-            }
-            (acc.estimate(), t_hll.elapsed().as_nanos() as u64)
-        };
-
-        // Global Algorithm 2 decision (cost model shared by all shards,
-        // resolved once at build time on the full data).
-        let prefer_lsh = match strategy {
-            Strategy::LshOnly => true,
-            _ => index.shards[0].cost_model().prefer_lsh(collisions, cand_estimate, index.n),
-        };
-        let (executed, ids, cand_actual) = if prefer_lsh {
-            let (ids, distinct) = self.lsh_arm(index, q, r, &per_shard);
-            (ExecutedArm::Lsh, ids, Some(distinct))
-        } else {
-            (ExecutedArm::Linear, self.linear_arm(index, q, r), None)
-        };
-        let cand_size_estimate = match (strategy, cand_actual) {
-            // Mirror the unsharded LshOnly report (exact count, no
-            // estimate) so the instrumented fields line up too.
-            (Strategy::LshOnly, Some(actual)) => actual as f64,
-            _ => cand_estimate,
-        };
-        let total = t_start.elapsed().as_nanos() as u64;
-        QueryOutput {
-            report: QueryReport {
-                executed,
-                collisions,
-                cand_size_estimate,
-                cand_size_actual: cand_actual,
-                output_size: ids.len(),
-                hash_nanos,
-                hll_nanos,
-                total_nanos: total,
-            },
-            ids,
-        }
-    }
-
-    /// The LSH arm across shards: per shard, dedup the colliding
-    /// members (global ids), translate them to rows of the shard's own
-    /// dense slab, verify the whole list in one batched kernel call,
-    /// and map accepts back to global ids. Shards are disjoint, so no
-    /// cross-shard dedup is needed; the concatenation is sorted into
-    /// the canonical ascending order. Returns `(ids, distinct
-    /// candidate count)`.
-    fn lsh_arm<S, F, D, B>(
-        &mut self,
-        index: &ShardedIndex<S, F, D, B>,
-        q: &S::Point,
-        r: f64,
-        per_shard: &[Vec<BucketRef<'_>>],
-    ) -> (Vec<PointId>, usize)
-    where
-        S: PointSet,
-        F: LshFamily<S::Point>,
-        D: Distance<S::Point>,
-        B: BucketStore,
-    {
-        let mut out_global = Vec::new();
-        let mut distinct = 0usize;
-        let mut local_out = Vec::new();
-        for (si, buckets) in per_shard.iter().enumerate() {
-            collect_shard_cands(&mut self.seen, &mut self.cands, buckets, &index.local_of);
-            distinct += self.cands.len();
-            let shard = &index.shards[si];
-            let (data, distance) = (shard.data(), shard.distance());
-            local_out.clear();
-            match self.verify {
-                VerifyMode::Kernel => distance.verify_many(data, &self.cands, q, r, &mut local_out),
-                VerifyMode::Scalar => hlsh_vec::metric::verify_scalar(
-                    distance,
-                    data,
-                    &self.cands,
-                    q,
-                    r,
-                    &mut local_out,
-                ),
-            }
-            out_global.extend(local_out.iter().map(|&l| index.owners[si][l as usize]));
-        }
-        out_global.sort_unstable();
-        (out_global, distinct)
-    }
-
-    /// The brute-force arm across shards: scan each shard's slab, map
-    /// to global ids, sort ascending.
-    fn linear_arm<S, F, D, B>(
-        &mut self,
-        index: &ShardedIndex<S, F, D, B>,
-        q: &S::Point,
-        r: f64,
-    ) -> Vec<PointId>
-    where
-        S: PointSet,
-        F: LshFamily<S::Point>,
-        D: Distance<S::Point>,
-        B: BucketStore,
-    {
-        let mut out_global = Vec::new();
-        let mut local_out = Vec::new();
-        for (si, shard) in index.shards.iter().enumerate() {
-            let (data, distance) = (shard.data(), shard.distance());
-            local_out.clear();
-            match self.verify {
-                VerifyMode::Kernel => distance.scan_within(data, q, r, &mut local_out),
-                VerifyMode::Scalar => {
-                    hlsh_vec::metric::scan_scalar(distance, data, q, r, &mut local_out)
-                }
-            }
-            out_global.extend(local_out.iter().map(|&l| index.owners[si][l as usize]));
-        }
-        out_global.sort_unstable();
-        out_global
-    }
-}
+/// Reusable scratch for top-k queries over a [`ShardedTopKIndex`] (the
+/// shared [`TopKEngine`]).
+pub type ShardedTopKEngine = TopKEngine;
 
 /// A top-k index partitioned across shards: one [`TopKIndex`] (a full
 /// radius-schedule ladder) per shard, walked by a *global* engine.
 ///
-/// Per-shard heaps are merged through the same bounded `(distance, id)`
-/// heap the unsharded engine uses — and because every walk decision
-/// (skip, early exit, fallback, arm choice) is made on merged
-/// statistics, the final ranking and report are byte-identical to the
-/// unsharded [`TopKIndex`] over the same data.
+/// Every level of every shard is one part of the shared query core and
+/// every walk decision (skip, early exit, fallback, arm choice) is made
+/// on merged statistics, so the final ranking and report are
+/// byte-identical to the unsharded [`TopKIndex`] over the same data.
 pub struct ShardedTopKIndex<S, F, D, B = MapStore>
 where
     S: PointSet,
@@ -645,11 +456,8 @@ where
     B: BucketStore,
 {
     shards: Vec<TopKIndex<S, F, D, B>>,
-    owners: Vec<Vec<PointId>>,
-    local_of: Vec<PointId>,
-    assignment: ShardAssignment,
+    layout: ShardLayout,
     schedule: RadiusSchedule,
-    n: usize,
 }
 
 impl<S, F, D> ShardedTopKIndex<S, F, D, MapStore>
@@ -680,53 +488,30 @@ where
         F: Sync,
         TopKIndex<S, F, D, MapStore>: Send,
     {
-        let n = data.len();
-        let owners = assignment.partition(n);
-        let local_of = invert_owners(&owners, n);
-        let level_costs: Vec<crate::cost::CostModel> = schedule
+        let layout = ShardLayout::new(assignment, data.len());
+        let level_costs: Vec<CostModel> = schedule
             .radii()
             .enumerate()
             .map(|(li, r)| level_builder(li, r).resolve_cost(&data))
             .collect();
-        let inner_sequential = owners.len() > 1;
-        let data_ref = &data;
-        let owners_ref = &owners;
-        let level_builder_ref = &level_builder;
-        let level_costs_ref = &level_costs;
-        let shards = par_map_with(
-            owners.len(),
-            None,
-            || (),
-            |_, si| {
-                let sub = data_ref.subset(&owners_ref[si]);
-                TopKIndex::build_mapped(
-                    sub,
-                    schedule,
-                    |li, r| {
-                        let mut b = level_builder_ref(li, r).cost_model(level_costs_ref[li]);
-                        if inner_sequential {
-                            b = b.sequential();
-                        }
-                        b
-                    },
-                    Some(&owners_ref[si]),
-                )
-            },
-        );
-        drop(data);
-        Self { shards, owners, local_of, assignment, schedule, n }
+        let shards = layout.build(data, |si, sub, sequential| {
+            let level = |li: usize, r: f64| {
+                let b = level_builder(li, r).cost_model(level_costs[li]);
+                if sequential {
+                    b.sequential()
+                } else {
+                    b
+                }
+            };
+            TopKIndex::build_mapped(sub, schedule, level, Some(&layout.owners[si]))
+        });
+        Self { shards, layout, schedule }
     }
 
     /// Freezes every shard's every level into the CSR arena backend.
     pub fn freeze(self) -> ShardedTopKIndex<S, F, D, FrozenStore> {
-        ShardedTopKIndex {
-            shards: self.shards.into_iter().map(TopKIndex::freeze).collect(),
-            owners: self.owners,
-            local_of: self.local_of,
-            assignment: self.assignment,
-            schedule: self.schedule,
-            n: self.n,
-        }
+        let shards = self.shards.into_iter().map(TopKIndex::freeze).collect();
+        ShardedTopKIndex { shards, layout: self.layout, schedule: self.schedule }
     }
 }
 
@@ -738,19 +523,13 @@ where
 {
     /// Converts every shard back to the mutable backend.
     pub fn thaw(self) -> ShardedTopKIndex<S, F, D, MapStore> {
-        ShardedTopKIndex {
-            shards: self.shards.into_iter().map(TopKIndex::thaw).collect(),
-            owners: self.owners,
-            local_of: self.local_of,
-            assignment: self.assignment,
-            schedule: self.schedule,
-            n: self.n,
-        }
+        let shards = self.shards.into_iter().map(TopKIndex::thaw).collect();
+        ShardedTopKIndex { shards, layout: self.layout, schedule: self.schedule }
     }
 
     /// Reassembles a sharded ladder from already-built per-shard
     /// ladders and their persisted owner lists — the snapshot loader's
-    /// entry point. `local_of` is recomputed from `owners`.
+    /// entry point.
     ///
     /// # Panics
     /// Panics if the shapes disagree: shard count vs assignment, ladder
@@ -764,15 +543,11 @@ where
         n: usize,
     ) -> Self {
         assert_eq!(shards.len(), assignment.shards(), "one ladder per assignment shard");
-        assert_eq!(owners.len(), shards.len(), "one owner list per shard");
-        assert_eq!(owners.iter().map(Vec::len).sum::<usize>(), n, "owner lists must cover 0..n");
-        for (shard, ids) in shards.iter().zip(&owners) {
-            assert_eq!(shard.len(), ids.len(), "ladder size must match its owner list");
+        for shard in &shards {
             assert_eq!(shard.schedule(), schedule, "every ladder shares the schedule");
-            assert!(ids.iter().all(|&g| (g as usize) < n), "owner id out of range");
         }
-        let local_of = invert_owners(&owners, n);
-        Self { shards, owners, local_of, assignment, schedule, n }
+        let layout = ShardLayout::checked(owners, assignment, n, shards.iter().map(|s| s.len()));
+        Self { shards, layout, schedule }
     }
 }
 
@@ -785,12 +560,12 @@ where
 {
     /// Total indexed points across all shards.
     pub fn len(&self) -> usize {
-        self.n
+        self.layout.n
     }
 
     /// Whether no points are indexed.
     pub fn is_empty(&self) -> bool {
-        self.n == 0
+        self.layout.n == 0
     }
 
     /// The radius schedule shared by every shard.
@@ -800,7 +575,7 @@ where
 
     /// The shard assignment in force.
     pub fn assignment(&self) -> ShardAssignment {
-        self.assignment
+        self.layout.assignment
     }
 
     /// The per-shard ladders. **Caution:** shard tables store *global*
@@ -813,12 +588,28 @@ where
     /// The global ids owned by `shard`, in that shard's local row order
     /// (mirrors [`ShardedIndex::global_ids`]).
     pub fn global_ids(&self, shard: usize) -> &[PointId] {
-        &self.owners[shard]
+        &self.layout.owners[shard]
     }
 
     /// Answers one top-k query with fresh scratch.
     pub fn query_topk(&self, q: &S::Point, k: usize) -> TopKOutput {
         ShardedTopKEngine::new().query_topk(self, q, k)
+    }
+
+    /// Level `li`'s HLL configuration (shared by every shard).
+    ///
+    /// # Panics
+    /// Panics if `li` is out of range.
+    pub fn level_hll_config(&self, li: usize) -> hlsh_hll::HllConfig {
+        self.shards[0].levels()[li].hll_config()
+    }
+
+    /// Level `li`'s cost model (resolved once on the full data).
+    ///
+    /// # Panics
+    /// Panics if `li` is out of range.
+    pub fn level_cost_model(&self, li: usize) -> CostModel {
+        self.shards[0].levels()[li].cost_model()
     }
 }
 
@@ -852,265 +643,43 @@ where
     where
         Q: AsRef<S::Point> + Sync,
     {
-        par_map_with(queries.len(), threads, ShardedTopKEngine::new, |engine, qi| {
-            engine.query_topk_with(self, queries[qi].as_ref(), k, strategy)
-        })
+        topk_batch(self, queries, k, strategy, threads)
     }
 }
 
-/// Reusable scratch for running top-k queries over a
-/// [`ShardedTopKIndex`]: the per-shard rNNR scratch plus the global
-/// cross-level dedup set.
-#[derive(Debug, Default)]
-pub struct ShardedTopKEngine {
-    seen: FxHashSet<PointId>,
-    cands: Vec<PointId>,
-    acc: Option<MergeAccumulator>,
-    reported: FxHashSet<PointId>,
-    verify: VerifyMode,
+impl<S, F, D, B> Parts for ShardedTopKIndex<S, F, D, B>
+where
+    S: PointSet,
+    F: LshFamily<S::Point>,
+    D: Distance<S::Point>,
+    B: BucketStore,
+{
+    type Point = S::Point;
+
+    fn points(&self) -> usize {
+        self.layout.n
+    }
+
+    fn level(&self, li: usize) -> Level<'_, S::Point> {
+        let parts = self.shards.iter().enumerate();
+        Level {
+            parts: parts.map(|(s, t)| self.layout.part(s, &t.levels()[li])).collect(),
+            hll: self.level_hll_config(li),
+            cost: self.level_cost_model(li),
+            n: self.layout.n,
+        }
+    }
 }
 
-impl ShardedTopKEngine {
-    /// Engine with empty scratch and the default kernel verify mode.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Engine whose rNNR level queries verify in an explicit
-    /// [`VerifyMode`]; output is identical across modes.
-    pub fn with_verify_mode(verify: VerifyMode) -> Self {
-        Self { verify, ..Self::default() }
-    }
-
-    /// Answers one top-k query under the default per-level
-    /// [`Strategy::Hybrid`].
-    pub fn query_topk<S, F, D, B>(
-        &mut self,
-        index: &ShardedTopKIndex<S, F, D, B>,
-        q: &S::Point,
-        k: usize,
-    ) -> TopKOutput
-    where
-        S: PointSet,
-        F: LshFamily<S::Point>,
-        D: Distance<S::Point>,
-        B: BucketStore,
-    {
-        self.query_topk_with(index, q, k, Strategy::Hybrid)
-    }
-
-    /// The global schedule walk — the sharded mirror of
-    /// [`TopKEngine::query_topk_with`](crate::topk::TopKEngine::query_topk_with),
-    /// with every per-level query fanned across shards and every
-    /// decision made on merged statistics. The walk structure (early
-    /// exit, HLL defer + revisit, exact fallback) is kept in lockstep
-    /// with the unsharded engine; `tests/sharded_props.rs` pins the
-    /// byte-identity of outputs and reports.
-    pub fn query_topk_with<S, F, D, B>(
-        &mut self,
-        index: &ShardedTopKIndex<S, F, D, B>,
-        q: &S::Point,
-        k: usize,
-        strategy: Strategy,
-    ) -> TopKOutput
-    where
-        S: PointSet,
-        F: LshFamily<S::Point>,
-        D: Distance<S::Point>,
-        B: BucketStore,
-    {
-        let t_start = Instant::now();
-        let n = index.n;
-        let k_eff = k.min(n);
-        let mut report = TopKReport {
-            levels_executed: 0,
-            levels_skipped: 0,
-            early_exit: false,
-            exact_fallback: false,
-            verified: 0,
-            total_nanos: 0,
-        };
-        if k_eff == 0 {
-            report.total_nanos = t_start.elapsed().as_nanos() as u64;
-            return TopKOutput { neighbors: Vec::new(), report };
-        }
-
-        let mut heap = BoundedHeap::new(k_eff);
-        self.reported.clear();
-        let mut covered_r = 0.0_f64;
-        let mut deferred: Vec<usize> = Vec::new();
-
-        for li in 0..index.schedule.levels() {
-            let r = index.schedule.radius(li);
-            if report.levels_executed > 0
-                && heap.is_full()
-                && heap.worst_dist().is_some_and(|w| w <= covered_r)
-            {
-                report.early_exit = true;
-                break;
-            }
-            let skip_at_most = if report.levels_executed > 0 {
-                let m = index.shards[0].levels()[li].hll_config().registers() as f64;
-                self.reported.len() as f64 * (1.0 + 1.04 / m.sqrt())
-            } else {
-                f64::NEG_INFINITY // level 0 always runs
-            };
-            match self.query_level(index, li, q, r, strategy, skip_at_most) {
-                None => {
-                    deferred.push(li);
-                    continue;
-                }
-                Some(pairs) => {
-                    report.levels_executed += 1;
-                    covered_r = r;
-                    for (id, dist) in pairs {
-                        if self.reported.insert(id) {
-                            heap.push(Neighbor { id, dist });
-                        }
-                    }
-                }
-            }
-        }
-
-        if heap.len() < k_eff {
-            // Exact fallback: one distance-returning scan per shard
-            // (the shard slabs partition the data), already-reported
-            // ids filtered out, NaN-distance gaps completed — the
-            // shared scaffold of the unsharded fallback.
-            report.exact_fallback = true;
-            report.levels_skipped = deferred.len();
-            for (si, shard) in index.shards.iter().enumerate() {
-                crate::topk::fallback_scan_into(
-                    shard.data(),
-                    shard.distance(),
-                    q,
-                    self.verify,
-                    &self.reported,
-                    &mut heap,
-                    |local| index.owners[si][local as usize],
-                );
-            }
-        } else if !deferred.is_empty() {
-            // Revisit deferred levels once the heap fills, exactly as
-            // the unsharded walk does (no skip threshold: NEG_INFINITY
-            // forces execution).
-            for li in deferred {
-                let pairs = self
-                    .query_level(
-                        index,
-                        li,
-                        q,
-                        index.schedule.radius(li),
-                        strategy,
-                        f64::NEG_INFINITY,
-                    )
-                    .expect("forced level query always executes");
-                report.levels_executed += 1;
-                for (id, dist) in pairs {
-                    if self.reported.insert(id) {
-                        heap.push(Neighbor { id, dist });
-                    }
-                }
-            }
-        }
-
-        report.verified = self.reported.len();
-        report.total_nanos = t_start.elapsed().as_nanos() as u64;
-        TopKOutput { neighbors: heap.into_sorted_vec(), report }
-    }
-
-    /// One level's rNNR query across every shard: merged probe +
-    /// estimate, global skip and arm decisions, per-shard verification
-    /// with distances, global ids out. `None` = deferred by the HLL
-    /// prediction (mirrors
-    /// [`QueryEngine::query_unless_cand_at_most_dist`](crate::engine::QueryEngine::query_unless_cand_at_most_dist)).
-    #[allow(clippy::too_many_arguments)]
-    fn query_level<S, F, D, B>(
-        &mut self,
-        index: &ShardedTopKIndex<S, F, D, B>,
-        li: usize,
-        q: &S::Point,
-        r: f64,
-        strategy: Strategy,
-        skip_at_most: f64,
-    ) -> Option<Vec<(PointId, f64)>>
-    where
-        S: PointSet,
-        F: LshFamily<S::Point>,
-        D: Distance<S::Point>,
-        B: BucketStore,
-    {
-        if !matches!(strategy, Strategy::LinearOnly) {
-            // Merged S1 + S2 over every shard's level-li index.
-            let mut per_shard: Vec<Vec<BucketRef<'_>>> = Vec::with_capacity(index.shards.len());
-            let mut collisions = 0usize;
-            for shard in &index.shards {
-                let (buckets, c, _) = shard.levels()[li].probe(q);
-                collisions += c;
-                per_shard.push(buckets);
-            }
-            let config = index.shards[0].levels()[li].hll_config();
-            let acc = ensure_accumulator(&mut self.acc, config);
-            for buckets in &per_shard {
-                for b in buckets {
-                    b.contribute_to(acc);
-                }
-            }
-            let cand_estimate = acc.estimate();
-            if cand_estimate <= skip_at_most {
-                return None;
-            }
-            let prefer_lsh = match strategy {
-                Strategy::LshOnly => true,
-                _ => index.shards[0].levels()[li].cost_model().prefer_lsh(
-                    collisions,
-                    cand_estimate,
-                    index.n,
-                ),
-            };
-            if prefer_lsh {
-                let mut out_global = Vec::new();
-                let mut local_out = Vec::new();
-                for (si, buckets) in per_shard.iter().enumerate() {
-                    collect_shard_cands(&mut self.seen, &mut self.cands, buckets, &index.local_of);
-                    let shard = &index.shards[si];
-                    let (data, distance) = (shard.data(), shard.distance());
-                    local_out.clear();
-                    match self.verify {
-                        VerifyMode::Kernel => {
-                            distance.verify_many_dist(data, &self.cands, q, r, &mut local_out)
-                        }
-                        VerifyMode::Scalar => hlsh_vec::metric::verify_scalar_dist(
-                            distance,
-                            data,
-                            &self.cands,
-                            q,
-                            r,
-                            &mut local_out,
-                        ),
-                    }
-                    out_global
-                        .extend(local_out.iter().map(|&(l, d)| (index.owners[si][l as usize], d)));
-                }
-                return Some(out_global);
-            }
-        }
-        // Linear arm (forced or chosen): scan every shard with
-        // distances.
-        let mut out_global = Vec::new();
-        let mut local_out = Vec::new();
-        for (si, shard) in index.shards.iter().enumerate() {
-            let (data, distance) = (shard.data(), shard.distance());
-            local_out.clear();
-            match self.verify {
-                VerifyMode::Kernel => distance.scan_within_dist(data, q, r, &mut local_out),
-                VerifyMode::Scalar => {
-                    hlsh_vec::metric::scan_scalar_dist(distance, data, q, r, &mut local_out)
-                }
-            }
-            out_global.extend(local_out.iter().map(|&(l, d)| (index.owners[si][l as usize], d)));
-        }
-        Some(out_global)
+impl<S, F, D, B> Ladder for ShardedTopKIndex<S, F, D, B>
+where
+    S: PointSet,
+    F: LshFamily<S::Point>,
+    D: Distance<S::Point>,
+    B: BucketStore,
+{
+    fn ladder(&self) -> RadiusSchedule {
+        self.schedule
     }
 }
 
@@ -1120,12 +689,13 @@ impl ShardedTopKEngine {
 //
 // A shard node in a distributed deployment holds the full sharded index
 // (loaded from the same snapshot every node ships) but answers only for
-// its assigned shard. The methods below expose exactly the per-shard
-// work the in-process engines do — probe + local sketch merge, arm
-// execution, fallback scan — so a remote coordinator that merges the
-// summaries and replays the global decisions reproduces the in-process
-// answers byte for byte. All of them verify in the default
-// [`VerifyMode::Kernel`], matching the engines the serving layer uses.
+// its assigned shard. The methods below run exactly the per-part work
+// the in-process driver does — probe + local sketch merge, arm
+// execution, fallback scan — on the node's shard part, so a remote
+// coordinator that merges the summaries and replays the global
+// decisions reproduces the in-process answers byte for byte. All of
+// them verify in the default `VerifyMode::Kernel`, matching the engines
+// the serving layer uses.
 
 /// One query's compact S1/S2 summary from one shard: the summed bucket
 /// sizes (S1) and the shard-local merged HyperLogLog registers (S2).
@@ -1145,94 +715,21 @@ pub struct ShardSummary {
 
 impl<S, F, D, B> ShardedIndex<S, F, D, B>
 where
-    S: PointSet,
-    F: LshFamily<S::Point>,
-    D: Distance<S::Point>,
-    B: BucketStore,
-{
-    /// The HLL configuration shared by every shard's buckets.
-    pub fn hll_config(&self) -> hlsh_hll::HllConfig {
-        self.shards[0].hll_config()
-    }
-
-    /// The cost model shared by every shard (resolved once on the full
-    /// data at build time).
-    pub fn cost_model(&self) -> crate::cost::CostModel {
-        self.shards[0].cost_model()
-    }
-
-    /// One shard's S1/S2 summary for one query: probe the shard's
-    /// tables, sum the bucket sizes, merge the probed sketches.
-    ///
-    /// # Panics
-    /// Panics if `shard` is out of range.
-    pub fn shard_summary(&self, shard: usize, q: &S::Point) -> ShardSummary {
-        let mut acc = None;
-        self.shard_summary_with(shard, q, &mut acc)
-    }
-
-    fn shard_summary_with(
-        &self,
-        shard: usize,
-        q: &S::Point,
-        acc_slot: &mut Option<MergeAccumulator>,
-    ) -> ShardSummary {
-        let sh = &self.shards[shard];
-        let (buckets, collisions, _) = sh.probe(q);
-        let acc = ensure_accumulator(acc_slot, sh.hll_config());
-        for b in &buckets {
-            b.contribute_to(acc);
-        }
-        ShardSummary { collisions: collisions as u64, registers: acc.registers().to_vec() }
-    }
-
-    /// One shard's chosen-arm execution for one query: the LSH arm
-    /// (probe → dedup global members → batched kernel verification) or
-    /// the linear arm (full shard scan), either way returning the
-    /// shard's **global** ids within `r`, ascending.
-    ///
-    /// # Panics
-    /// Panics if `shard` is out of range.
-    pub fn shard_arm(&self, shard: usize, q: &S::Point, r: f64, lsh: bool) -> Vec<PointId> {
-        let mut seen = FxHashSet::default();
-        let mut cands = Vec::new();
-        self.shard_arm_with(shard, q, r, lsh, &mut seen, &mut cands)
-    }
-
-    fn shard_arm_with(
-        &self,
-        shard: usize,
-        q: &S::Point,
-        r: f64,
-        lsh: bool,
-        seen: &mut FxHashSet<PointId>,
-        cands: &mut Vec<PointId>,
-    ) -> Vec<PointId> {
-        let sh = &self.shards[shard];
-        let (data, distance) = (sh.data(), sh.distance());
-        let mut local_out = Vec::new();
-        if lsh {
-            let (buckets, _, _) = sh.probe(q);
-            collect_shard_cands(seen, cands, &buckets, &self.local_of);
-            distance.verify_many(data, cands, q, r, &mut local_out);
-        } else {
-            distance.scan_within(data, q, r, &mut local_out);
-        }
-        let mut out: Vec<PointId> =
-            local_out.iter().map(|&l| self.owners[shard][l as usize]).collect();
-        out.sort_unstable();
-        out
-    }
-}
-
-impl<S, F, D, B> ShardedIndex<S, F, D, B>
-where
     S: PointSet + Sync,
     F: LshFamily<S::Point> + Sync,
     F::GFn: Sync,
     D: Distance<S::Point> + Sync,
     B: BucketStore + Sync,
 {
+    fn batch<'s, 'q, Q>(
+        &'s self,
+        shard: usize,
+        queries: &'q [Q],
+        threads: Option<usize>,
+    ) -> PartBatch<'q, Q, impl Fn() -> Part<'s, S::Point> + Sync + 's> {
+        PartBatch { part: move || self.layout.part(shard, &self.shards[shard]), queries, threads }
+    }
+
     /// [`shard_summary`](Self::shard_summary) over a batch, fanned
     /// across scoped threads; outputs in input order.
     pub fn shard_summaries<Q>(
@@ -1244,12 +741,7 @@ where
     where
         Q: AsRef<S::Point> + Sync,
     {
-        par_map_with(
-            queries.len(),
-            threads,
-            || None,
-            |acc, qi| self.shard_summary_with(shard, queries[qi].as_ref(), acc),
-        )
+        self.batch(shard, queries, threads).summaries(self.hll_config())
     }
 
     /// [`shard_arm`](Self::shard_arm) over a batch, fanned across
@@ -1265,78 +757,7 @@ where
     where
         Q: AsRef<S::Point> + Sync,
     {
-        par_map_with(
-            queries.len(),
-            threads,
-            || (FxHashSet::default(), Vec::new()),
-            |(seen, cands), qi| {
-                self.shard_arm_with(shard, queries[qi].as_ref(), r, lsh, seen, cands)
-            },
-        )
-    }
-}
-
-impl<S, F, D, B> ShardedTopKIndex<S, F, D, B>
-where
-    S: PointSet,
-    F: LshFamily<S::Point>,
-    D: Distance<S::Point>,
-    B: BucketStore,
-{
-    /// Level `li`'s HLL configuration (shared by every shard).
-    ///
-    /// # Panics
-    /// Panics if `li` is out of range.
-    pub fn level_hll_config(&self, li: usize) -> hlsh_hll::HllConfig {
-        self.shards[0].levels()[li].hll_config()
-    }
-
-    /// Level `li`'s cost model (resolved once on the full data).
-    ///
-    /// # Panics
-    /// Panics if `li` is out of range.
-    pub fn level_cost_model(&self, li: usize) -> crate::cost::CostModel {
-        self.shards[0].levels()[li].cost_model()
-    }
-
-    fn shard_level_summary_with(
-        &self,
-        shard: usize,
-        li: usize,
-        q: &S::Point,
-        acc_slot: &mut Option<MergeAccumulator>,
-    ) -> ShardSummary {
-        let level = &self.shards[shard].levels()[li];
-        let (buckets, collisions, _) = level.probe(q);
-        let acc = ensure_accumulator(acc_slot, level.hll_config());
-        for b in &buckets {
-            b.contribute_to(acc);
-        }
-        ShardSummary { collisions: collisions as u64, registers: acc.registers().to_vec() }
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn shard_level_arm_with(
-        &self,
-        shard: usize,
-        li: usize,
-        q: &S::Point,
-        r: f64,
-        lsh: bool,
-        seen: &mut FxHashSet<PointId>,
-        cands: &mut Vec<PointId>,
-    ) -> Vec<(PointId, f64)> {
-        let sh = &self.shards[shard];
-        let (data, distance) = (sh.data(), sh.distance());
-        let mut local_out = Vec::new();
-        if lsh {
-            let (buckets, _, _) = sh.levels()[li].probe(q);
-            collect_shard_cands(seen, cands, &buckets, &self.local_of);
-            distance.verify_many_dist(data, cands, q, r, &mut local_out);
-        } else {
-            distance.scan_within_dist(data, q, r, &mut local_out);
-        }
-        local_out.iter().map(|&(l, d)| (self.owners[shard][l as usize], d)).collect()
+        self.batch(shard, queries, threads).arm_ids(r, lsh)
     }
 }
 
@@ -1348,6 +769,17 @@ where
     D: Distance<S::Point> + Sync,
     B: BucketStore + Sync,
 {
+    fn batch<'s, 'q, Q>(
+        &'s self,
+        shard: usize,
+        li: usize,
+        queries: &'q [Q],
+        threads: Option<usize>,
+    ) -> PartBatch<'q, Q, impl Fn() -> Part<'s, S::Point> + Sync + 's> {
+        let part = move || self.layout.part(shard, &self.shards[shard].levels()[li]);
+        PartBatch { part, queries, threads }
+    }
+
     /// One shard's S1/S2 summaries against schedule level `li` for a
     /// batch of queries; outputs in input order.
     ///
@@ -1363,12 +795,7 @@ where
     where
         Q: AsRef<S::Point> + Sync,
     {
-        par_map_with(
-            queries.len(),
-            threads,
-            || None,
-            |acc, qi| self.shard_level_summary_with(shard, li, queries[qi].as_ref(), acc),
-        )
+        self.batch(shard, li, queries, threads).summaries(self.level_hll_config(li))
     }
 
     /// One shard's chosen-arm execution against level `li`: per query,
@@ -1391,21 +818,14 @@ where
     where
         Q: AsRef<S::Point> + Sync,
     {
-        par_map_with(
-            queries.len(),
-            threads,
-            || (FxHashSet::default(), Vec::new()),
-            |(seen, cands), qi| {
-                self.shard_level_arm_with(shard, li, queries[qi].as_ref(), r, lsh, seen, cands)
-            },
-        )
+        self.batch(shard, li, queries, threads).arm_pairs(r, lsh)
     }
 
     /// One shard's exact-fallback scan: per query, **every** row the
     /// shard owns as `(global id, distance)`, ascending by local row,
     /// NaN-distance gaps completed — the per-shard slice of the walk's
     /// exact fallback. The coordinator filters already-reported ids,
-    /// exactly as [`ShardedTopKEngine`] does in-process.
+    /// exactly as the in-process walk does.
     ///
     /// # Panics
     /// Panics if `shard` is out of range.
@@ -1418,23 +838,7 @@ where
     where
         Q: AsRef<S::Point> + Sync,
     {
-        let sh = &self.shards[shard];
-        par_map_with(
-            queries.len(),
-            threads,
-            || (),
-            |_, qi| {
-                crate::topk::fallback_scan_pairs(
-                    sh.data(),
-                    sh.distance(),
-                    queries[qi].as_ref(),
-                    VerifyMode::Kernel,
-                )
-                .into_iter()
-                .map(|(l, d)| (self.owners[shard][l as usize], d))
-                .collect()
-            },
-        )
+        self.batch(shard, 0, queries, threads).scans()
     }
 }
 

@@ -40,9 +40,9 @@ use hlsh_families::LshFamily;
 use hlsh_vec::{Distance, PointId, PointSet};
 
 use crate::builder::IndexBuilder;
-use crate::engine::QueryEngine;
 use crate::hasher::FxHashSet;
 use crate::index::HybridLshIndex;
+use crate::part::{Hits, Ids, Ladder, Level, Part, Parts, Scratch};
 use crate::schedule::RadiusSchedule;
 use crate::search::{Strategy, VerifyMode};
 use crate::store::{BucketStore, FrozenStore, MapStore};
@@ -390,20 +390,218 @@ where
     where
         Q: AsRef<S::Point> + Sync,
     {
-        hlsh_vec::parallel::par_map_with(queries.len(), threads, TopKEngine::new, |engine, qi| {
-            engine.query_topk_with(self, queries[qi].as_ref(), k, strategy)
-        })
+        topk_batch(self, queries, k, strategy, threads)
     }
 }
 
-/// Reusable scratch for running top-k queries: the inner rNNR
-/// [`QueryEngine`] plus the cross-level dedup set.
+impl<S, F, D, B> Parts for TopKIndex<S, F, D, B>
+where
+    S: PointSet,
+    F: LshFamily<S::Point>,
+    D: Distance<S::Point>,
+    B: BucketStore,
+{
+    type Point = S::Point;
+
+    fn points(&self) -> usize {
+        self.len()
+    }
+
+    fn level(&self, li: usize) -> Level<'_, S::Point> {
+        let level = &self.levels[li];
+        Level {
+            parts: vec![Part { tables: level, ids: Ids::Rows }],
+            hll: level.hll_config(),
+            cost: level.cost_model(),
+            n: self.len(),
+        }
+    }
+}
+
+impl<S, F, D, B> Ladder for TopKIndex<S, F, D, B>
+where
+    S: PointSet,
+    F: LshFamily<S::Point>,
+    D: Distance<S::Point>,
+    B: BucketStore,
+{
+    fn ladder(&self) -> RadiusSchedule {
+        self.schedule
+    }
+}
+
+/// One top-k query's schedule walk: the policy every top-k path drives,
+/// whether it runs the levels in process ([`TopKEngine`]) or fans them
+/// out to remote shards level by level (the distributed coordinator).
+///
+/// The driver asks [`next_level`](Self::next_level) before each level,
+/// runs the level (or defers it) and offers its hits; after the last
+/// level it either runs the exact fallback
+/// ([`start_fallback`](Self::start_fallback)) or revisits the deferred
+/// levels ([`take_deferred`](Self::take_deferred)), then
+/// [`finish`](Self::finish)es.
+///
+/// 1. **Early exit** — once the heap holds `k` neighbors all within the
+///    largest executed radius, deeper levels cannot change the answer.
+/// 2. **HLL defer** — while the heap is underfull, a level whose merged
+///    sketches predict no candidates beyond the ids already verified
+///    is deferred without running either arm.
+/// 3. **Revisit** — if the heap fills without them, deferred levels
+///    run after all (they were predicted near-empty, so this is cheap),
+///    so a wrong prediction never silently loses a close neighbor.
+/// 4. **Exact fallback** — if the schedule leaves the heap underfull,
+///    every unreported live point is offered, and the deferred levels
+///    become true skips.
+#[derive(Debug)]
+pub struct TopKWalk {
+    k: usize,
+    heap: BoundedHeap,
+    reported: FxHashSet<PointId>,
+    covered_r: f64,
+    deferred: Vec<DeferredLevel>,
+    done: bool,
+    report: TopKReport,
+    t_start: Instant,
+}
+
+/// A level the walk deferred, with the merged statistics it was
+/// deferred on (probing is deterministic, so a revisit may replay them
+/// instead of probing again).
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct DeferredLevel {
+    /// The schedule level.
+    pub level: usize,
+    /// Its merged S1 collision count.
+    pub collisions: usize,
+    /// Its merged S2 candidate estimate.
+    pub estimate: f64,
+}
+
+impl TopKWalk {
+    /// A walk for the `k` nearest of `n` live points.
+    pub fn new(k: usize, n: usize) -> Self {
+        Self::reusing(k, n, FxHashSet::default())
+    }
+
+    fn reusing(k: usize, n: usize, mut reported: FxHashSet<PointId>) -> Self {
+        reported.clear();
+        let k = k.min(n);
+        Self {
+            k,
+            heap: BoundedHeap::new(k),
+            reported,
+            covered_r: 0.0,
+            deferred: Vec::new(),
+            done: k == 0,
+            report: TopKReport {
+                levels_executed: 0,
+                levels_skipped: 0,
+                early_exit: false,
+                exact_fallback: false,
+                verified: 0,
+                total_nanos: 0,
+            },
+            t_start: Instant::now(),
+        }
+    }
+
+    /// Before each schedule level: `None` once the walk is over (`k` is
+    /// 0, or the early exit fired), otherwise the level's skip
+    /// threshold for a sketch of `registers` registers
+    /// (`f64::NEG_INFINITY` until a level has run).
+    pub fn next_level(&mut self, registers: usize) -> Option<f64> {
+        if self.done {
+            return None;
+        }
+        if self.report.levels_executed == 0 {
+            return Some(f64::NEG_INFINITY); // the first level always runs
+        }
+        // Heap entries are within-radius reports, so a full heap within
+        // the executed radius cannot be improved by larger radii.
+        if self.heap.is_full() && self.heap.worst_dist().is_some_and(|w| w <= self.covered_r) {
+            self.report.early_exit = true;
+            self.done = true;
+            return None;
+        }
+        // One standard error of sketch slack (σ ≈ 1.04/√m): a level
+        // holding nothing new still estimates slightly above the
+        // verified count, so an exact threshold would never fire.
+        let m = registers as f64;
+        Some(self.reported.len() as f64 * (1.0 + 1.04 / m.sqrt()))
+    }
+
+    /// Records that the current level was deferred on these statistics.
+    pub fn defer(&mut self, level: usize, collisions: usize, estimate: f64) {
+        self.deferred.push(DeferredLevel { level, collisions, estimate });
+    }
+
+    /// Offers a level's verified `(id, distance)` hits; ids already
+    /// reported by another level are ignored.
+    pub fn offer(&mut self, hits: &[(PointId, f64)]) {
+        for &(id, dist) in hits {
+            if self.reported.insert(id) {
+                self.heap.push(Neighbor { id, dist });
+            }
+        }
+    }
+
+    /// Records that a level of radius `r` ran (its hits all offered).
+    pub fn ran(&mut self, r: f64) {
+        self.report.levels_executed += 1;
+        self.covered_r = self.covered_r.max(r);
+    }
+
+    /// After the last level: whether the exact fallback must run (the
+    /// heap is underfull). If so, the deferred levels become skips.
+    pub fn start_fallback(&mut self) -> bool {
+        if self.heap.len() >= self.k {
+            return false;
+        }
+        self.report.exact_fallback = true;
+        self.report.levels_skipped = std::mem::take(&mut self.deferred).len();
+        true
+    }
+
+    /// Offers exact-fallback `(id, distance)` pairs: every live point
+    /// not yet reported is a candidate.
+    pub fn offer_fallback(&mut self, pairs: impl IntoIterator<Item = (PointId, f64)>) {
+        for (id, dist) in pairs {
+            if !self.reported.contains(&id) {
+                self.heap.push(Neighbor { id, dist });
+            }
+        }
+    }
+
+    /// The deferred levels left to revisit, in schedule order (none
+    /// after [`start_fallback`](Self::start_fallback) returned `true`).
+    pub fn take_deferred(&mut self) -> Vec<DeferredLevel> {
+        std::mem::take(&mut self.deferred)
+    }
+
+    /// The ranking and the walk's report.
+    pub fn finish(self) -> TopKOutput {
+        self.finish_into(&mut FxHashSet::default())
+    }
+
+    /// [`finish`](Self::finish), handing the dedup set back for reuse.
+    fn finish_into(mut self, spare: &mut FxHashSet<PointId>) -> TopKOutput {
+        self.report.verified = self.reported.len();
+        self.report.total_nanos = self.t_start.elapsed().as_nanos() as u64;
+        *spare = self.reported;
+        TopKOutput { neighbors: self.heap.into_sorted_vec(), report: self.report }
+    }
+}
+
+/// Reusable scratch for running top-k queries over any [`Ladder`]
+/// (unsharded, sharded or living): every level is one run of the shared
+/// driver with the walk's skip threshold, and every decision is made on
+/// statistics merged across the ladder's parts.
 ///
 /// One engine serves one thread; results are identical to the
 /// allocate-per-query path.
 #[derive(Debug, Default)]
 pub struct TopKEngine {
-    engine: QueryEngine,
+    scratch: Scratch,
     reported: FxHashSet<PointId>,
 }
 
@@ -414,256 +612,102 @@ impl TopKEngine {
         Self::default()
     }
 
-    /// Creates an engine whose inner rNNR queries verify candidates in
-    /// an explicit [`VerifyMode`]. Top-k output is identical across
+    /// Creates an engine whose level queries verify candidates in an
+    /// explicit [`VerifyMode`]. Top-k output is identical across
     /// modes — the mode only changes how the radius filter is computed.
     pub fn with_verify_mode(verify: VerifyMode) -> Self {
-        Self { engine: QueryEngine::with_verify_mode(verify), reported: FxHashSet::default() }
+        Self { scratch: Scratch::with_verify_mode(verify), ..Self::default() }
     }
 
     /// Answers one top-k query under the default per-level
     /// [`Strategy::Hybrid`].
-    pub fn query_topk<S, F, D, B>(
+    pub fn query_topk<I: Ladder + ?Sized>(
         &mut self,
-        index: &TopKIndex<S, F, D, B>,
-        q: &S::Point,
+        index: &I,
+        q: &I::Point,
         k: usize,
-    ) -> TopKOutput
-    where
-        S: PointSet,
-        F: LshFamily<S::Point>,
-        D: Distance<S::Point>,
-        B: BucketStore,
-    {
+    ) -> TopKOutput {
         self.query_topk_with(index, q, k, Strategy::Hybrid)
     }
 
-    /// Answers one top-k query, running every executed level's rNNR
-    /// query under `strategy`.
-    pub fn query_topk_with<S, F, D, B>(
+    /// Answers one top-k query, running every executed level under
+    /// `strategy`.
+    pub fn query_topk_with<I: Ladder + ?Sized>(
         &mut self,
-        index: &TopKIndex<S, F, D, B>,
-        q: &S::Point,
+        index: &I,
+        q: &I::Point,
         k: usize,
         strategy: Strategy,
-    ) -> TopKOutput
-    where
-        S: PointSet,
-        F: LshFamily<S::Point>,
-        D: Distance<S::Point>,
-        B: BucketStore,
-    {
-        let t_start = Instant::now();
-        let n = index.len();
-        let k_eff = k.min(n);
-        let mut report = TopKReport {
-            levels_executed: 0,
-            levels_skipped: 0,
-            early_exit: false,
-            exact_fallback: false,
-            verified: 0,
-            total_nanos: 0,
-        };
-        if k_eff == 0 {
-            report.total_nanos = t_start.elapsed().as_nanos() as u64;
-            return TopKOutput { neighbors: Vec::new(), report };
+    ) -> TopKOutput {
+        let mut walk = TopKWalk::reusing(k, index.points(), std::mem::take(&mut self.reported));
+        let schedule = index.ladder();
+        let scratch = &mut self.scratch;
+        for li in 0..schedule.levels() {
+            let level = index.level(li);
+            let Some(skip) = walk.next_level(level.hll.registers()) else { break };
+            walk_level(scratch, &level, (li, schedule.radius(li)), q, strategy, skip, &mut walk);
         }
-
-        let mut heap = BoundedHeap::new(k_eff);
-        self.reported.clear();
-        let (data, distance) = (index.data(), index.distance());
-        // Largest radius whose level actually executed: inside it the
-        // reporting guarantee holds (exactly, whenever the level ran
-        // the linear arm; with LSH's 1−δ probability otherwise).
-        let mut covered_r = 0.0_f64;
-        // Levels deferred by the HLL prediction, revisited below if the
-        // heap fills without them.
-        let mut deferred: Vec<usize> = Vec::new();
-
-        for (li, (level, r)) in index.levels().iter().zip(index.schedule.radii()).enumerate() {
-            if report.levels_executed > 0 {
-                // Early exit: k neighbors within an executed radius
-                // (heap entries come from within-radius reports, so a
-                // full heap always satisfies `worst ≤ covered_r`) means
-                // larger radii cannot improve the heap.
-                if heap.is_full() && heap.worst_dist().is_some_and(|w| w <= covered_r) {
-                    report.early_exit = true;
-                    break;
-                }
+        if walk.start_fallback() {
+            for part in &index.level(0).parts {
+                walk.offer_fallback(part.scan_all(q, scratch.verify));
             }
-            // HLL defer (underfull heap only — a full heap early-exited
-            // above): a level whose merged sketches predict no
-            // candidates beyond the ids already verified cannot feed
-            // the heap anything new, so neither Algorithm 2 arm runs
-            // now. Level candidate sets overlap heavily across radii —
-            // the same near-duplicates keep colliding — so this fires
-            // on sparse-neighborhood queries climbing the ladder.
-            // Probing and estimation are shared with the executed
-            // query, so a non-deferred level pays nothing extra; and
-            // because the prediction inherits the sketch's estimation
-            // error, a deferred level is revisited below rather than
-            // dropped whenever its absence could change the answer.
-            let skip_at_most = if report.levels_executed > 0 {
-                // One standard error of sketch slack (σ ≈ 1.04/√m):
-                // even when a level truly holds nothing new, its
-                // estimate lands slightly above the verified count
-                // (small-range linear counting rounds up), so an exact
-                // threshold would never fire.
-                let m = level.hll_config().registers() as f64;
-                self.reported.len() as f64 * (1.0 + 1.04 / m.sqrt())
-            } else {
-                f64::NEG_INFINITY // level 0 always runs
-            };
-            // Distance-returning level query: every reported id arrives
-            // with the exact distance its verification kernel already
-            // computed, so nothing is recomputed per id below.
-            let out = match self.engine.query_unless_cand_at_most_dist(
-                level,
-                q,
-                r,
-                strategy,
-                skip_at_most,
-            ) {
-                None => {
-                    deferred.push(li);
-                    continue;
-                }
-                Some(out) => out,
-            };
-            report.levels_executed += 1;
-            covered_r = r;
-            for &(id, dist) in &out.pairs {
-                if self.reported.insert(id) {
-                    heap.push(Neighbor { id, dist });
-                }
-            }
-        }
-
-        if heap.len() < k_eff {
-            // The schedule ran dry with fewer than k neighbors: finish
-            // exactly. Every id in `reported` was admitted (rejections
-            // only happen once the heap is full), so only the rest are
-            // scanned — which also covers anything a deferred level
-            // would have found, so those levels were skipped outright.
-            // The scan is one distance-returning kernel pass over the
-            // whole set (r = ∞); already-reported ids are filtered out
-            // afterwards (their distances are a negligible fraction of
-            // the pass and the kernel throughput more than pays for
-            // them versus n per-id scalar distance calls).
-            report.exact_fallback = true;
-            report.levels_skipped = deferred.len();
-            fallback_scan_into(
-                data,
-                distance,
-                q,
-                self.engine.verify_mode(),
-                &self.reported,
-                &mut heap,
-                |local| local,
-            );
-        } else if !deferred.is_empty() {
-            // The heap filled at deeper levels while earlier levels
-            // were deferred on a prediction that can be wrong (sketch
-            // error, non-nested level candidate sets). A missed closer
-            // neighbor would now be unrecoverable, so revisit the
-            // deferred levels — each was predicted near-empty, so this
-            // is cheap, and it restores the no-silent-loss property.
-            for li in deferred {
-                let out = self.engine.query_with_strategy_dist(
-                    &index.levels()[li],
+        } else {
+            for d in walk.take_deferred() {
+                let (level, r) = (index.level(d.level), schedule.radius(d.level));
+                walk_level(
+                    scratch,
+                    &level,
+                    (d.level, r),
                     q,
-                    index.schedule.radius(li),
                     strategy,
+                    f64::NEG_INFINITY,
+                    &mut walk,
                 );
-                report.levels_executed += 1;
-                for &(id, dist) in &out.pairs {
-                    if self.reported.insert(id) {
-                        heap.push(Neighbor { id, dist });
-                    }
-                }
             }
         }
-
-        report.verified = self.reported.len();
-        report.total_nanos = t_start.elapsed().as_nanos() as u64;
-        TopKOutput { neighbors: heap.into_sorted_vec(), report }
+        walk.finish_into(&mut self.reported)
     }
 }
 
-/// The exact fallback's scan, shared by the unsharded and sharded
-/// engines: one distance-returning full pass (`r = ∞`) over `data`,
-/// offering every unreported row to the heap. Rows the scan's
-/// `d <= r` filter dropped — only possible when the distance is NaN,
-/// nothing else fails at `r = ∞` — appear as gaps in the scan's
-/// ascending row order and are offered via direct `distance()` calls,
-/// so the fallback's exactly-`min(k, n)`-results guarantee holds even
-/// for degenerate (NaN-coordinate) points, exactly as the pre-kernel
-/// per-id loop did ([`Neighbor`]'s `total_cmp` order ranks NaN last).
-/// `to_global` maps a scanned row to its reported id (identity here,
-/// the owner lookup for shards).
-pub(crate) fn fallback_scan_into<S, D>(
-    data: &S,
-    distance: &D,
-    q: &S::Point,
-    verify: VerifyMode,
-    reported: &FxHashSet<PointId>,
-    heap: &mut BoundedHeap,
-    mut to_global: impl FnMut(PointId) -> PointId,
-) where
-    S: PointSet + ?Sized,
-    D: Distance<S::Point>,
-{
-    for (local, dist) in fallback_scan_pairs(data, distance, q, verify) {
-        let id = to_global(local);
-        if !reported.contains(&id) {
-            heap.push(Neighbor { id, dist });
+/// Runs schedule level `li` (radius `r`) for the walk: a driver run
+/// with the walk's skip threshold, its hits offered or the level
+/// deferred.
+fn walk_level<P: ?Sized>(
+    scratch: &mut Scratch,
+    level: &Level<'_, P>,
+    (li, r): (usize, f64),
+    q: &P,
+    strategy: Strategy,
+    skip: f64,
+    walk: &mut TopKWalk,
+) {
+    let mut hits = Hits::Pairs(Vec::new());
+    let run = scratch.run(level, q, r, strategy, skip, &mut hits);
+    match run.arm {
+        Some(_) => {
+            walk.offer(&hits.into_pairs());
+            walk.ran(r);
         }
+        None => walk.defer(li, run.collisions, run.estimate),
     }
 }
 
-/// The pair enumeration under [`fallback_scan_into`], split out so a
-/// shard node can ship the full `(local row, distance)` list over the
-/// wire and let a remote coordinator do the `reported` filtering: every
-/// row of `data` exactly once, ascending, NaN-distance gaps completed
-/// by direct `distance()` calls.
-pub(crate) fn fallback_scan_pairs<S, D>(
-    data: &S,
-    distance: &D,
-    q: &S::Point,
-    verify: VerifyMode,
-) -> Vec<(PointId, f64)>
+/// [`TopKEngine::query_topk_with`] over a batch, fanned across scoped
+/// threads (one engine each); outputs in input order.
+pub(crate) fn topk_batch<I, Q>(
+    index: &I,
+    queries: &[Q],
+    k: usize,
+    strategy: Strategy,
+    threads: Option<usize>,
+) -> Vec<TopKOutput>
 where
-    S: PointSet + ?Sized,
-    D: Distance<S::Point>,
+    I: Ladder + Sync + ?Sized,
+    Q: AsRef<I::Point> + Sync,
 {
-    let n = data.len();
-    let mut pairs = Vec::with_capacity(n);
-    match verify {
-        VerifyMode::Kernel => distance.scan_within_dist(data, q, f64::INFINITY, &mut pairs),
-        VerifyMode::Scalar => {
-            hlsh_vec::metric::scan_scalar_dist(distance, data, q, f64::INFINITY, &mut pairs)
-        }
-    }
-    if pairs.len() == n {
-        // No NaN gaps: the ∞-radius scan already enumerated 0..n
-        // ascending.
-        return pairs;
-    }
-    let mut full = Vec::with_capacity(n);
-    let mut next = 0 as PointId;
-    for (local, dist) in pairs {
-        while next < local {
-            full.push((next, distance.distance(data.point(next as usize), q)));
-            next += 1;
-        }
-        full.push((local, dist));
-        next = local + 1;
-    }
-    while (next as usize) < n {
-        full.push((next, distance.distance(data.point(next as usize), q)));
-        next += 1;
-    }
-    full
+    hlsh_vec::parallel::par_map_with(queries.len(), threads, TopKEngine::new, |e, qi| {
+        e.query_topk_with(index, queries[qi].as_ref(), k, strategy)
+    })
 }
 
 #[cfg(test)]

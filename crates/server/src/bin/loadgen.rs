@@ -316,11 +316,30 @@ impl Churn {
     }
 }
 
+/// Sets its flag when dropped.
+struct StopOnDrop<'a>(&'a AtomicBool);
+
+impl Drop for StopOnDrop<'_> {
+    fn drop(&mut self) {
+        self.0.store(true, Ordering::Relaxed);
+    }
+}
+
 /// Mutation workload against a `serve --live` process, then the
 /// byte-identity check: rebuild the surviving corpus in process and
 /// compare every pooled query's rNNR ids and top-k `(id, distance)`
 /// pairs (bit for bit) against the server's answers.
 fn run_churn(args: &Args, pool: &[Vec<f32>], data: &DenseDataset, info: &ServerInfo) {
+    // The local mirror assumes the server holds exactly the fresh corpus
+    // under ids 0..n; any other live set makes the first delete fail.
+    if info.points != args.n as u64 {
+        eprintln!(
+            "loadgen: --churn needs a fresh `serve --live` with {} points, but the server \
+             holds {} (restart it, or match --n)",
+            args.n, info.points
+        );
+        std::process::exit(2);
+    }
     let deadline = Duration::from_secs(args.connect_timeout_secs);
     let mut client = Client::connect_retry(args.addr.as_str(), deadline)
         .unwrap_or_else(|e| panic!("cannot connect to {}: {e}", args.addr));
@@ -351,6 +370,10 @@ fn run_churn(args: &Args, pool: &[Vec<f32>], data: &DenseDataset, info: &ServerI
             }
             issued
         });
+        // Stops the query thread on every way out of the writer loop,
+        // a panic included, so a failed mutation exits instead of
+        // leaving the scope waiting on the query thread forever.
+        let stop_queries = StopOnDrop(&stop);
         for _ in 0..args.churn {
             let b = args.churn_batch;
             let t = Instant::now();
@@ -377,7 +400,7 @@ fn run_churn(args: &Args, pool: &[Vec<f32>], data: &DenseDataset, info: &ServerI
             }
             mut_lat.push(t.elapsed().as_micros() as u64);
         }
-        stop.store(true, Ordering::Relaxed);
+        drop(stop_queries);
         bg.join().expect("churn query thread panicked")
     });
     let churn_ms = t0.elapsed().as_secs_f64() * 1e3;

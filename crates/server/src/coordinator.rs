@@ -52,7 +52,7 @@ use std::net::TcpStream;
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-use hlsh_core::{BoundedHeap, CostModel, Neighbor};
+use hlsh_core::{decide, CostModel, Decision, Strategy, TopKWalk};
 use hlsh_hll::{HllConfig, HyperLogLog};
 use hlsh_vec::PointId;
 
@@ -208,22 +208,6 @@ struct TargetMeta {
     radius: f64,
     hll: HllConfig,
     cost: CostModel,
-}
-
-/// Per-query walk state for the distributed top-k schedule — the
-/// coordinator-side mirror of
-/// [`ShardedTopKEngine`](hlsh_core::ShardedTopKEngine)'s locals.
-struct TopKState {
-    heap: BoundedHeap,
-    reported: std::collections::HashSet<PointId>,
-    covered_r: f64,
-    levels_executed: usize,
-    /// Levels deferred by the HLL prediction, with the merged
-    /// statistics cached: probing is deterministic, so revisiting with
-    /// the cached `(collisions, estimate)` replays exactly the decision
-    /// a re-probe would make — without a second summary round.
-    deferred: Vec<(usize, usize, f64)>,
-    done: bool,
 }
 
 /// A [`QueryService`] that answers the *client* protocol by fanning
@@ -512,10 +496,9 @@ impl QueryService for Coordinator {
         let stats = self.merged_summaries(ShardTarget::Rnnr, &block, &self.rnnr)?;
         let (mut lsh_idx, mut lin_idx) = (Vec::new(), Vec::new());
         for (qi, &(collisions, estimate)) in stats.iter().enumerate() {
-            if self.rnnr.cost.prefer_lsh(collisions, estimate, self.n) {
-                lsh_idx.push(qi);
-            } else {
-                lin_idx.push(qi);
+            match self.decide(&self.rnnr, collisions, estimate, f64::NEG_INFINITY) {
+                Decision::Lsh => lsh_idx.push(qi),
+                _ => lin_idx.push(qi),
             }
         }
 
@@ -560,187 +543,120 @@ impl QueryService for Coordinator {
         if queries.is_empty() {
             return Ok(Vec::new());
         }
-        let k_eff = k.min(self.n);
-        if k_eff == 0 {
-            return Ok(vec![Vec::new(); queries.len()]);
-        }
-
-        let mut states: Vec<TopKState> = (0..queries.len())
-            .map(|_| TopKState {
-                heap: BoundedHeap::new(k_eff),
-                reported: std::collections::HashSet::new(),
-                covered_r: 0.0,
-                levels_executed: 0,
-                deferred: Vec::new(),
-                done: false,
-            })
-            .collect();
-
-        // Level-synchronized schedule walk: every still-active query
-        // advances through level `li` together, so each level costs at
-        // most one summary fan-out plus one execute fan-out per arm —
-        // the coordinator-side mirror of ShardedTopKEngine's walk.
-        for li in 0..self.levels.len() {
-            let meta = &self.levels[li];
-            let m = meta.hll.registers() as f64;
-            let mut active: Vec<usize> = Vec::new();
-            for (qi, st) in states.iter_mut().enumerate() {
-                if st.done {
-                    continue;
+        // One walk per query, driven level-synchronized: every walk
+        // still running advances through level `li` together, so each
+        // level costs at most one summary fan-out plus one execute
+        // fan-out per arm.
+        let mut walks: Vec<TopKWalk> = queries.iter().map(|_| TopKWalk::new(k, self.n)).collect();
+        for (li, meta) in self.levels.iter().enumerate() {
+            let (mut active, mut skips) = (Vec::new(), Vec::new());
+            for (qi, walk) in walks.iter_mut().enumerate() {
+                if let Some(skip) = walk.next_level(meta.hll.registers()) {
+                    active.push(qi);
+                    skips.push(skip);
                 }
-                if st.levels_executed > 0
-                    && st.heap.is_full()
-                    && st.heap.worst_dist().is_some_and(|w| w <= st.covered_r)
-                {
-                    st.done = true; // early exit
-                    continue;
-                }
-                active.push(qi);
             }
             if active.is_empty() {
                 break;
             }
             let block = self.pack_subset(queries, &active);
             let stats = self.merged_summaries(ShardTarget::TopKLevel(li as u32), &block, meta)?;
-
             let (mut lsh_idx, mut lin_idx) = (Vec::new(), Vec::new());
             for (j, &qi) in active.iter().enumerate() {
                 let (collisions, estimate) = stats[j];
-                let st = &mut states[qi];
-                let skip_at_most = if st.levels_executed > 0 {
-                    st.reported.len() as f64 * (1.0 + 1.04 / m.sqrt())
-                } else {
-                    f64::NEG_INFINITY // level 0 always runs
-                };
-                if estimate <= skip_at_most {
-                    st.deferred.push((li, collisions, estimate));
-                } else if meta.cost.prefer_lsh(collisions, estimate, self.n) {
-                    lsh_idx.push(qi);
-                } else {
-                    lin_idx.push(qi);
+                match self.decide(meta, collisions, estimate, skips[j]) {
+                    Decision::Defer => walks[qi].defer(li, collisions, estimate),
+                    Decision::Lsh => lsh_idx.push(qi),
+                    Decision::Linear => lin_idx.push(qi),
                 }
             }
-            for (arm, idx) in [(Arm::Lsh, &lsh_idx), (Arm::Linear, &lin_idx)] {
-                if idx.is_empty() {
-                    continue;
-                }
-                self.run_level_arm(queries, &mut states, li, arm, idx)?;
-            }
+            self.run_level_arms(queries, &mut walks, li, [lsh_idx, lin_idx])?;
         }
 
-        // Post-walk: exact fallback for under-filled heaps, forced
-        // replay of deferred levels for the rest — in lockstep with the
-        // in-process engine (note the *else*: an early-exited query
-        // still replays its deferred levels, a fallback query never
-        // does). The `done` flag is repurposed here to mean "handled by
-        // the fallback".
-        for st in &mut states {
-            st.done = false;
-        }
+        // Exact fallback for the walks whose heap is underfull: one scan
+        // fan-out (the shard slabs partition the data).
         let starved: Vec<usize> =
-            (0..queries.len()).filter(|&qi| states[qi].heap.len() < k_eff).collect();
+            (0..walks.len()).filter(|&qi| walks[qi].start_fallback()).collect();
         if !starved.is_empty() {
             let block = self.pack_subset(queries, &starved);
             let per_shard = self.fanout(|si| {
-                self.shards[si]
-                    .lock()
-                    .unwrap()
-                    .call(si, &ShardRequest::Scan { queries: block.clone() })
+                let req = ShardRequest::Scan { queries: block.clone() };
+                self.shards[si].lock().unwrap().call(si, &req)
             })?;
             for (si, resp) in per_shard.into_iter().enumerate() {
                 match resp {
                     ShardResponse::Pairs(per_query) if per_query.len() == starved.len() => {
                         for (j, pairs) in per_query.into_iter().enumerate() {
-                            let st = &mut states[starved[j]];
-                            for (id, dist) in pairs {
-                                // The shard slabs partition the data,
-                                // so each id arrives exactly once: a
-                                // contains-check (no insert) matches
-                                // the in-process fallback.
-                                if !st.reported.contains(&id) {
-                                    st.heap.push(Neighbor { id, dist });
-                                }
-                            }
+                            walks[starved[j]].offer_fallback(pairs);
                         }
                     }
                     other => return Err(unexpected(si, &other)),
                 }
             }
-            for &qi in &starved {
-                states[qi].done = true;
-            }
         }
-        // Deferred levels replay in schedule order with the cached
-        // merged statistics (deterministic probing makes them identical
-        // to a re-summarize), skip threshold disabled.
-        for li in 0..self.levels.len() {
-            let meta = &self.levels[li];
+        // The other walks revisit their deferred levels in schedule
+        // order, replaying the cached merged statistics (probing is
+        // deterministic, so a second summary round would return them
+        // unchanged) with the skip threshold disabled.
+        let deferred: Vec<_> = walks.iter_mut().map(TopKWalk::take_deferred).collect();
+        for (li, meta) in self.levels.iter().enumerate() {
             let (mut lsh_idx, mut lin_idx) = (Vec::new(), Vec::new());
-            for (qi, st) in states.iter_mut().enumerate() {
-                if st.done {
-                    continue;
-                }
-                if let Some(&(_, collisions, estimate)) =
-                    st.deferred.iter().find(|&&(dl, _, _)| dl == li)
-                {
-                    if meta.cost.prefer_lsh(collisions, estimate, self.n) {
-                        lsh_idx.push(qi);
-                    } else {
-                        lin_idx.push(qi);
+            for (qi, levels) in deferred.iter().enumerate() {
+                if let Some(d) = levels.iter().find(|d| d.level == li) {
+                    match self.decide(meta, d.collisions, d.estimate, f64::NEG_INFINITY) {
+                        Decision::Lsh => lsh_idx.push(qi),
+                        _ => lin_idx.push(qi),
                     }
                 }
             }
-            for (arm, idx) in [(Arm::Lsh, &lsh_idx), (Arm::Linear, &lin_idx)] {
-                if idx.is_empty() {
-                    continue;
-                }
-                self.run_level_arm(queries, &mut states, li, arm, idx)?;
-            }
+            self.run_level_arms(queries, &mut walks, li, [lsh_idx, lin_idx])?;
         }
 
-        Ok(states
+        Ok(walks
             .into_iter()
-            .map(|st| st.heap.into_sorted_vec().into_iter().map(|n| (n.id, n.dist)).collect())
+            .map(|w| w.finish().neighbors.into_iter().map(|n| (n.id, n.dist)).collect())
             .collect())
     }
 }
 
 impl Coordinator {
-    /// Executes one arm of ladder level `li` for the query subset
-    /// `idx`, offering results into each query's heap in shard order —
-    /// the offer order the in-process walk uses, which the bounded
-    /// heap's tie-breaking depends on.
-    fn run_level_arm(
+    /// The Algorithm-2 decision on merged statistics against `target`.
+    fn decide(&self, target: &TargetMeta, collisions: usize, estimate: f64, skip: f64) -> Decision {
+        decide(Strategy::Hybrid, target.cost, self.n, collisions, estimate, skip)
+    }
+
+    /// Executes ladder level `li` for the query subsets that chose the
+    /// LSH arm and the linear arm (in that order), offering each shard's
+    /// pairs into its query's walk, then counting the level as run.
+    fn run_level_arms(
         &self,
         queries: &[Vec<f32>],
-        states: &mut [TopKState],
+        walks: &mut [TopKWalk],
         li: usize,
-        arm: Arm,
-        idx: &[usize],
+        [lsh_idx, lin_idx]: [Vec<usize>; 2],
     ) -> Result<(), ServiceError> {
         let meta = &self.levels[li];
-        let sub = self.pack_subset(queries, idx);
-        let per_shard =
-            self.execute_round(ShardTarget::TopKLevel(li as u32), arm, meta.radius, &sub)?;
-        for (si, resp) in per_shard.into_iter().enumerate() {
-            match resp {
-                ShardResponse::Pairs(per_query) if per_query.len() == idx.len() => {
-                    for (j, pairs) in per_query.into_iter().enumerate() {
-                        let st = &mut states[idx[j]];
-                        for (id, dist) in pairs {
-                            if st.reported.insert(id) {
-                                st.heap.push(Neighbor { id, dist });
-                            }
+        for (arm, idx) in [(Arm::Lsh, &lsh_idx), (Arm::Linear, &lin_idx)] {
+            if idx.is_empty() {
+                continue;
+            }
+            let sub = self.pack_subset(queries, idx);
+            let target = ShardTarget::TopKLevel(li as u32);
+            for (si, resp) in
+                self.execute_round(target, arm, meta.radius, &sub)?.into_iter().enumerate()
+            {
+                match resp {
+                    ShardResponse::Pairs(per_query) if per_query.len() == idx.len() => {
+                        for (j, pairs) in per_query.iter().enumerate() {
+                            walks[idx[j]].offer(pairs);
                         }
                     }
+                    other => return Err(unexpected(si, &other)),
                 }
-                other => return Err(unexpected(si, &other)),
             }
-        }
-        for &qi in idx {
-            let st = &mut states[qi];
-            st.levels_executed += 1;
-            st.covered_r = meta.radius;
+            for &qi in idx {
+                walks[qi].ran(meta.radius);
+            }
         }
         Ok(())
     }

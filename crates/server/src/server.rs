@@ -465,9 +465,15 @@ impl EventLoop {
                 match e.token {
                     TOKEN_LISTENER => self.accept_ready(&mut touched),
                     TOKEN_WAKE => {
+                        // Drain first, then clear: a wake() between
+                        // the two finds the flag still set and writes
+                        // nothing, but its completion is already
+                        // queued and drained below. Clearing first
+                        // would let that byte be read here, leaving
+                        // the flag set and the pipe empty for good.
                         let mut sink = [0u8; 1024];
-                        self.shared.wake_pending.store(false, Ordering::SeqCst);
                         let _ = (&self.wake_rx).read(&mut sink);
+                        self.shared.wake_pending.store(false, Ordering::SeqCst);
                     }
                     token => self.conn_event(token, e, &mut touched),
                 }

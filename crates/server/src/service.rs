@@ -602,7 +602,7 @@ where
         let mut engine = SegmentedQueryEngine::new();
         Ok(queries
             .iter()
-            .map(|q| engine.query_with_strategy(&rnnr, q, radius, Strategy::Hybrid).ids)
+            .map(|q| engine.query_with_strategy(&*rnnr, q, radius, Strategy::Hybrid).ids)
             .collect())
     }
 
@@ -622,7 +622,7 @@ where
         Ok(queries
             .iter()
             .map(|q| {
-                engine.query_topk(&topk, q, k).neighbors.iter().map(|n| (n.id, n.dist)).collect()
+                engine.query_topk(&*topk, q, k).neighbors.iter().map(|n| (n.id, n.dist)).collect()
             })
             .collect())
     }

@@ -108,16 +108,18 @@ fn shard_flags(shards: usize, sid: usize, port: &str, snap: &Path) -> Vec<String
     flags
 }
 
-fn snapshot_path(shards: usize) -> PathBuf {
+/// A snapshot path unique to one test and shard count, so tests
+/// running in parallel never delete or rewrite each other's file.
+fn snapshot_path(test: &str, shards: usize) -> PathBuf {
     let mut p = std::env::temp_dir();
-    p.push(format!("hlsh-multiproc-{}-{shards}.hlsh", std::process::id()));
+    p.push(format!("hlsh-multiproc-{}-{test}-{shards}.hlsh", std::process::id()));
     p
 }
 
 /// Builds the snapshot (ship step), cold-starts one shard process per
 /// shard from it, and fronts them with a coordinator process.
-fn deploy(shards: usize) -> (Vec<Server>, Server, PathBuf) {
-    let snap = snapshot_path(shards);
+fn deploy(test: &str, shards: usize) -> (Vec<Server>, Server, PathBuf) {
+    let snap = snapshot_path(test, shards);
     let _ = std::fs::remove_file(&snap);
 
     // Build once and save — then immediately reap the builder; its only
@@ -174,7 +176,7 @@ fn reference(snap: &Path, queries: &[Vec<f32>], k: usize) -> (Vec<Vec<u32>>, Vec
 fn snapshot_shipped_processes_answer_byte_identically() {
     let queries = queries();
     for shards in [1usize, 2, 4] {
-        let (fleet, coordinator, snap) = deploy(shards);
+        let (fleet, coordinator, snap) = deploy("shipped", shards);
         let (expect_rnnr, expect_topk) = reference(&snap, &queries, 5);
 
         let mut client = Client::connect_retry(coordinator.addr.as_str(), Duration::from_secs(30))
@@ -202,7 +204,7 @@ fn snapshot_shipped_processes_answer_byte_identically() {
 #[test]
 fn sigkilled_shard_is_typed_unavailable_then_rejoins_on_its_port() {
     let queries = queries();
-    let (mut fleet, coordinator, snap) = deploy(2);
+    let (mut fleet, coordinator, snap) = deploy("rejoin", 2);
     let (expect_rnnr, _) = reference(&snap, &queries, 5);
 
     let mut client = Client::connect_retry(coordinator.addr.as_str(), Duration::from_secs(30))

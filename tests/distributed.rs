@@ -16,6 +16,7 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use hybrid_lsh::index::TopKWalk;
 use hybrid_lsh::prelude::*;
 use hybrid_lsh::server::{
     spawn, Client, ClientError, Coordinator, CoordinatorConfig, ErrorCode, QueryService,
@@ -222,4 +223,74 @@ fn fleet_assembly_rejects_wrong_topologies() {
     let err = Coordinator::connect(&twice, quick_config());
     assert!(err.is_err(), "duplicate shard address must fail");
     drop(fleet);
+}
+
+#[test]
+fn deferred_levels_revisit_byte_identically() {
+    // The topk.rs revisit fixture: a 4-duplicate cluster at the query
+    // and a band out at x ≈ 20. Level 0 verifies the 4 duplicates (heap
+    // 4/6), the middle levels estimate the same ≤ 4 candidates and are
+    // deferred, and the last level's wide hashes fill the heap. The
+    // deferred levels are then revisited — in process by re-running
+    // them, at the coordinator by replaying the cached merged
+    // statistics — and both must give the same ranking bit for bit.
+    let mut rows: Vec<[f32; 2]> = (0..4).map(|_| [0.0f32, 0.0]).collect();
+    rows.extend((0..80).map(|i| [20.0 + (i % 8) as f32 * 0.3, (i / 8) as f32 * 0.3]));
+    let data = DenseDataset::from_rows(2, rows);
+    let schedule = RadiusSchedule::doubling(1.0, 6);
+    let level = |_: usize, r: f64| {
+        IndexBuilder::new(PStableL2::new(2, 2.0 * r), L2)
+            .tables(8)
+            .hash_len(4)
+            .seed(9)
+            .cost_model(CostModel::from_ratio(1e9)) // always the LSH arm
+    };
+    let queries = vec![vec![0.0f32, 0.0]];
+    for shards in [1usize, 2] {
+        let assignment = ShardAssignment::new(SEED, shards);
+        let build = || {
+            let rnnr = ShardedIndex::build_frozen(data.clone(), assignment, level(0, 1.0));
+            let topk = ShardedTopKIndex::build(data.clone(), assignment, schedule, level).freeze();
+            (rnnr, topk)
+        };
+        let (_, topk) = build();
+        let expect = topk.query_topk(&queries[0], 6);
+        assert!(!expect.report.exact_fallback, "shards={shards}: {:?}", expect.report);
+        assert_eq!(expect.report.levels_skipped, 0, "shards={shards}: {:?}", expect.report);
+
+        // The fixture reaches the deferral: after level 0, level 1's
+        // merged estimate is at most the walk's skip threshold.
+        let mut walk = TopKWalk::new(6, data.len());
+        let m = topk.level_hll_config(1).registers();
+        assert_eq!(walk.next_level(m), Some(f64::NEG_INFINITY));
+        for s in 0..shards {
+            walk.offer(&topk.shard_level_arm_batch(s, 0, &queries, 1.0, true, None)[0]);
+        }
+        walk.ran(1.0);
+        let skip = walk.next_level(m).expect("the heap is still underfull");
+        let mut registers = vec![0u8; m];
+        for s in 0..shards {
+            let summary = &topk.shard_level_summaries(s, 1, &queries, None)[0];
+            for (r, &v) in registers.iter_mut().zip(&summary.registers) {
+                *r = (*r).max(v);
+            }
+        }
+        let estimate = HyperLogLog::from_registers(topk.level_hll_config(1), registers).estimate();
+        assert!(estimate <= skip, "shards={shards}: level 1 must defer ({estimate} > {skip})");
+
+        let mut handles = Vec::new();
+        let mut addrs = Vec::new();
+        for sid in 0..shards {
+            let (rnnr, topk) = build();
+            let service = ShardedLshService::new(rnnr, Some(topk), 2);
+            let node: Arc<Node> = Arc::new(ShardNodeService::new(service, sid as u32));
+            let handle = spawn(node, "127.0.0.1:0", ServerConfig::default()).expect("bind");
+            addrs.push(handle.local_addr().to_string());
+            handles.push(handle);
+        }
+        let coord = Coordinator::connect(&addrs, quick_config()).expect("assemble fleet");
+        let got = bits(coord.topk_batch(&queries, 6, None).expect("distributed topk"));
+        let want = bits(vec![expect.neighbors.iter().map(|n| (n.id, n.dist)).collect()]);
+        assert_eq!(got, want, "deferred revisit mismatch at {shards} shard(s)");
+    }
 }

@@ -211,3 +211,40 @@ fn expired_deadline_answers_deadline_frame_and_connection_survives() {
     assert_eq!(client.info().expect("connection survived the deadline").points, 600);
     fx.server.shutdown();
 }
+
+#[test]
+fn completions_keep_waking_the_loop_after_a_burst() {
+    // Every completion wakes the event loop through a pipe whose writes
+    // are collapsed by a flag. If the loop cleared the flag before
+    // draining the pipe, a completion posted in between left the flag
+    // set and the pipe empty, and every later completion waited for
+    // unrelated socket traffic or the timer tick. A burst of concurrent
+    // closed-loop clients gives that window many chances; a lone client
+    // must then still see its answers at once.
+    let mut fx = fixture(ServerConfig {
+        admission: hybrid_lsh::server::AdmissionWindow::Fixed(Duration::ZERO),
+        ..ServerConfig::default()
+    });
+    let addr = fx.server.local_addr();
+    let burst_end = Instant::now() + Duration::from_secs(3);
+    std::thread::scope(|s| {
+        for q in &fx.queries {
+            let q = q.clone();
+            s.spawn(move || {
+                let mut client =
+                    Client::connect_retry(addr, Duration::from_secs(10)).expect("connect");
+                while Instant::now() < burst_end {
+                    client.query_batch(std::slice::from_ref(&q), RADIUS).expect("burst query");
+                }
+            });
+        }
+    });
+    let mut client = Client::connect_retry(addr, Duration::from_secs(10)).expect("connect");
+    let t = Instant::now();
+    for _ in 0..3 {
+        client.query_batch(std::slice::from_ref(&fx.queries[0]), RADIUS).expect("lone query");
+    }
+    let took = t.elapsed();
+    assert!(took < Duration::from_millis(500), "three lone queries took {took:?}: lost wake-up");
+    fx.server.shutdown();
+}
